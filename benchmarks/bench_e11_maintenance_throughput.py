@@ -7,10 +7,11 @@ mutation:
 * the store's mutation log coalesces an epoch's deltas per object,
 * the relevance index restricts propagation to views whose vocabulary the
   deltas touch,
-* the lattice walk prunes every descendant of a view the touched objects
-  provably cannot enter,
-* and the generation-cached interpretation export is rebuilt once per
-  epoch instead of once per view evaluation.
+* each relevant view is re-evaluated only on its affected set -- the
+  objects its paths lead from to the epoch's changed facts -- by a
+  candidate-scoped evaluator,
+* and the lattice walk prunes a view whose affected objects provably miss
+  a subsuming parent.
 
 This benchmark drives :func:`repro.workloads.driver.run_maintenance_workload`
 -- the same update stream applied to two identical state/catalog pairs,

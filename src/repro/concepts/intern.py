@@ -9,12 +9,17 @@ catalog scale that dominates the cost of cache *hits*.
 This module gives every concept a single canonical ("interned") instance:
 
 * structurally equal concepts intern to the *same object* (``is``-identity),
-* every canonical instance carries a **stable integer id** and a precomputed
-  hash, assigned once when the structure is first seen,
+* every canonical instance carries a **stable integer id**, assigned once
+  when the structure is first seen,
 * caches throughout the library (`normalize_concept`, the checker's
   signature / satisfiability / decision memos, the shared cross-checker
   decision cache) are keyed on those integer ids, so lookups cost one
   attribute read and one small-int hash instead of a deep traversal.
+
+The structural hash itself is *not* precomputed: the frozen dataclasses'
+``__hash__`` still walks the whole structure on every call, canonical
+instances included -- which is why hot caches key on the id instead of on
+the concept.
 
 Interning is bottom-up: children are interned first, so the table key of a
 composite node is built from the child *ids* (O(1) per node, O(size) the

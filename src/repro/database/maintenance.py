@@ -5,34 +5,51 @@ their extents are stored and current* -- which makes the maintenance path a
 first-class scaling concern.  The original path was the naive one: every
 ``notify_object_added`` re-evaluated every registered view, so a stream of
 updates cost O(catalog) concept evaluations per mutation.  This module is
-the delta-driven replacement (the classic relevance-restricted re-checking
-of Decker 1994, see PAPERS.md):
+the delta-driven replacement, after Decker 1994 (see PAPERS.md): each check
+is specialised to the updated facts instead of re-checking the database.
 
 * the store's **mutation log** (:mod:`repro.database.store` emits typed
   :class:`~repro.database.store.Delta` records) feeds a
   :class:`MaintenanceQueue`, which coalesces the deltas of one epoch
-  (``with state.batch(): ...``) into a set of *relevance keys* and a set of
-  *touched objects* and flushes once, on commit;
+  (``with state.batch(): ...``) into :class:`EpochChanges` -- the created
+  and removed objects, the objects whose class memberships changed, the
+  changed attribute edges and the epoch's *relevance keys* -- and flushes
+  once, on commit;
 * a **relevance index** maps the class / attribute / constant names a
   view's concept mentions to the views mentioning them, so a delta batch
   only ever considers views whose definition could possibly react to it
   (``QL`` is negation-free, so a view whose vocabulary is disjoint from the
   delta's provably keeps its extent);
-* the touched objects are closed under the attribute edges any registered
-  view mentions (in both directions -- paths may invert attributes), which
-  is exactly the set of objects whose view membership a delta can reach;
-* flushing walks the PR 2 **view lattice** top-down and prunes: a touched
-  object that does not belong to a view cannot belong to any of its
-  subsumees (extents of subsumees are contained in extents of subsumers),
-  so a node whose candidate set empties drops the touched objects from its
-  stored extent *without* an evaluation and the verdict propagates down;
-* an optional **sharded flush** fans the surviving evaluations over
-  :func:`repro.optimizer.parallel.run_shards` workers.
+* each relevant view gets an **affected set** (:func:`affected_objects`):
+  the created objects, plus every object from which the view's own paths
+  lead, over the new state, to a changed edge or a changed membership.
+  The walk starts at the changed facts and follows each path backwards,
+  one inverse step at a time, recursing into path fillers.  It is sound:
+  a membership that differs between the old and the new state has a
+  witness -- in whichever of the two states it holds -- that uses a
+  changed fact, and on the witness's route from the object to its first
+  changed fact every edge and membership is unchanged, so the route also
+  exists in the new state, where the backward walk retraces it.  Objects
+  outside the affected set keep their membership, deleted objects aside:
+  every extent drops those by a set discard;
+* a re-evaluated view is **patched** as ``(current − affected) ∪
+  members(view, affected)``: :func:`members` evaluates the concept on the
+  affected objects only, walking paths out of them through the store's
+  no-copy adjacency read
+  (:meth:`~repro.database.store.DatabaseState.neighbours`);
+* flushing walks the PR 2 **view lattice** top-down and prunes: an
+  affected object that does not belong to a view cannot belong to any of
+  its subsumees (extents of subsumees are contained in extents of
+  subsumers), so a view whose affected objects all miss a subsuming
+  parent drops them from its stored extent *without* an evaluation.
+
+A schema swap has no object-level delta to start a walk from, so it still
+re-materializes every view over the whole domain.
 
 The module has **three tiers** over the same flush engine:
 
 * :class:`MaintenanceQueue` is the synchronous tier: one flush per commit,
-  on the committing thread (the PR 4 behavior, unchanged);
+  on the committing thread;
 * :class:`AsyncMaintainer` (PR 5) is the asynchronous tier: every commit
   enqueues a :class:`MaintenanceEpoch` -- the epoch's typed deltas plus a
   generation-pinned :class:`~repro.database.store.StateSnapshot` -- to a
@@ -60,10 +77,12 @@ The module has **three tiers** over the same flush engine:
   bound even when the flush worker has died.
 
 The flat per-view notification loop
-(:meth:`~repro.database.views.ViewCatalog.notify_object_added`) stays
+(:meth:`~repro.database.views.ViewCatalog.notify_object_added`) and the
+whole-domain :meth:`~repro.database.views.ViewCatalog.refresh_all` stay
 untouched as the executable specification, exactly like ``naive=True`` and
-``lattice=False`` before it; the property tests in
-``tests/database/test_maintenance.py`` and the concurrency oracle in
+``lattice=False`` before them; the property tests in
+``tests/database/test_maintenance.py`` and
+``tests/database/test_affected_sets.py`` and the concurrency oracle in
 ``tests/database/test_async_maintenance.py`` check that any interleaving of
 mutations, windows, barriers and reads yields only extents identical to
 re-materializing from scratch at some prefix generation.
@@ -74,10 +93,29 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..concepts.intern import concept_id
-from ..concepts.syntax import Concept, Top
+from ..concepts.intern import concept_id, intern_concept
+from ..concepts.syntax import (
+    And,
+    Concept,
+    ExistsPath,
+    Path,
+    PathAgreement,
+    Primitive,
+    Singleton,
+    Top,
+)
 from ..concepts.visitors import (
     constants as concept_constants,
     primitive_attributes,
@@ -108,37 +146,20 @@ from .wal import (
 __all__ = [
     "MaintenanceStatistics",
     "RelevanceIndex",
+    "EpochChanges",
     "MaintenanceQueue",
     "MaintenanceEpoch",
     "AsyncMaintainer",
     "DurableMaintainer",
     "RecoveryReport",
     "relevance_keys",
+    "members",
+    "affected_objects",
 ]
 
 #: Relevance key of views whose extent tracks the whole domain (``⊤``):
 #: only object creation/deletion can change them.
 DOMAIN_KEY: Tuple[str, str] = ("domain", "")
-
-
-def _empty_schema_checker():
-    """A subsumption checker over the empty schema (shared per process).
-
-    Decides containments that hold over *every* interpretation -- the only
-    ones the maintenance walk may prune with, since live update streams
-    pass through states that violate Σ (see
-    :meth:`_MaintenanceEngine._edge_holds_everywhere`).
-    """
-    global _EMPTY_CHECKER
-    if _EMPTY_CHECKER is None:
-        from ..concepts.schema import Schema
-        from ..core.checker import SubsumptionChecker
-
-        _EMPTY_CHECKER = SubsumptionChecker(Schema.empty(), shared_cache=False)
-    return _EMPTY_CHECKER
-
-
-_EMPTY_CHECKER = None
 
 
 def relevance_keys(concept: Concept) -> FrozenSet[Tuple[str, str]]:
@@ -172,14 +193,16 @@ class MaintenanceStatistics:
     deltas_coalesced: int = 0
     #: Flushes that actually had pending work.
     flushes: int = 0
-    #: Touched objects examined across flushes (after closure).
+    #: Affected objects across flushes: per flush, the size of the union of
+    #: the relevant views' affected sets (see :func:`affected_objects`).
     objects_touched: int = 0
     #: Views selected by the relevance index across flushes.
     views_relevant: int = 0
-    #: Views whose concept was actually re-evaluated.
+    #: Views whose concept was actually evaluated (on its affected objects,
+    #: or over the whole domain after a schema swap).
     views_evaluated: int = 0
     #: Relevant views updated by set algebra only, because the lattice walk
-    #: proved no touched object can enter them.
+    #: proved no affected object can enter them.
     views_lattice_pruned: int = 0
     #: Views never examined because the relevance index excluded them.
     views_skipped_irrelevant: int = 0
@@ -201,7 +224,6 @@ class RelevanceIndex:
     def __init__(self) -> None:
         self._keys_of: Dict[str, FrozenSet[Tuple[str, str]]] = {}
         self._views_by_key: Dict[Tuple[str, str], Set[str]] = {}
-        self._attribute_counts: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._keys_of)
@@ -213,8 +235,6 @@ class RelevanceIndex:
         self._keys_of[view.name] = keys
         for key in keys:
             self._views_by_key.setdefault(key, set()).add(view.name)
-            if key[0] == "attr":
-                self._attribute_counts[key[1]] = self._attribute_counts.get(key[1], 0) + 1
 
     def discard(self, name: str) -> None:
         """Drop a view from the index (no-op if absent)."""
@@ -227,12 +247,6 @@ class RelevanceIndex:
                 bucket.discard(name)
                 if not bucket:
                     del self._views_by_key[key]
-            if key[0] == "attr":
-                count = self._attribute_counts.get(key[1], 0) - 1
-                if count <= 0:
-                    self._attribute_counts.pop(key[1], None)
-                else:
-                    self._attribute_counts[key[1]] = count
 
     def keys_of(self, name: str) -> FrozenSet[Tuple[str, str]]:
         """The indexed keys of one view (empty if not indexed)."""
@@ -245,31 +259,239 @@ class RelevanceIndex:
             found.update(self._views_by_key.get(key, ()))
         return found
 
-    @property
-    def mentioned_attributes(self) -> FrozenSet[str]:
-        """Attribute names mentioned by at least one indexed view."""
-        return frozenset(self._attribute_counts)
+
+def _note(index: Dict[str, Set[str]], key: str, item: str) -> bool:
+    """Add ``item`` to ``index[key]``; ``True`` when it was not there yet."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = {item}
+        return True
+    if item in bucket:
+        return False
+    bucket.add(item)
+    return True
 
 
-class _PendingEpoch:
-    """The coalesced pending work of one (or several merged) epochs."""
+class EpochChanges:
+    """The changed facts of one committed epoch (or of several, coalesced).
 
-    __slots__ = ("touched", "keys", "removed", "full_refresh")
+    Deltas are recorded, not netted: an edge set and removed again within
+    the epoch stays a changed edge.  Recording more than the net change
+    only widens affected sets, which keeps them sound.
+    """
+
+    __slots__ = (
+        "created",
+        "removed",
+        "members",
+        "edge_subjects",
+        "edge_values",
+        "keys",
+        "full_refresh",
+    )
 
     def __init__(self) -> None:
-        self.touched: Set[str] = set()
-        self.keys: Set[Tuple[str, str]] = set()
+        #: Objects added during the epoch.
+        self.created: Set[str] = set()
+        #: Objects deleted during the epoch.
         self.removed: Set[str] = set()
+        #: Class name -> objects whose membership in it may have changed.
+        self.members: Dict[str, Set[str]] = {}
+        #: Attribute name -> subjects / values of its changed pairs.
+        self.edge_subjects: Dict[str, Set[str]] = {}
+        self.edge_values: Dict[str, Set[str]] = {}
+        #: Relevance keys the epoch's deltas mention.
+        self.keys: Set[Tuple[str, str]] = set()
+        #: The schema was swapped: every view needs a whole-domain refresh.
         self.full_refresh = False
 
     @property
     def empty(self) -> bool:
-        """``True`` when nothing is pending (no touches, keys, removals, refresh)."""
-        return not (self.touched or self.keys or self.removed or self.full_refresh)
+        """``True`` when nothing is pending (no deltas, no schema swap)."""
+        # Every delta kind but ObjectRemoved adds a relevance key.
+        return not (self.keys or self.removed or self.full_refresh)
 
-    def size(self) -> Tuple[int, int, int]:
-        """``(touched, keys, removed)`` counts, for telemetry and tests."""
-        return (len(self.touched), len(self.keys), len(self.removed))
+    def record(self, delta: Delta, superclasses: Callable[[str], Iterable[str]]) -> bool:
+        """Absorb one mutation-log record; ``False`` when it adds nothing new.
+
+        ``superclasses`` maps a class name to its reflexive ``isA`` closure
+        under the schema the flush evaluates with: a membership delta may
+        change the object's membership in every class of that closure.
+        """
+        sizes = (len(self.created), len(self.removed), len(self.keys))
+        grew = False
+        if isinstance(delta, ObjectAdded):
+            self.created.add(delta.object_id)
+            self.keys.add(DOMAIN_KEY)
+            self.keys.add(("const", delta.object_id))
+        elif isinstance(delta, ObjectRemoved):
+            self.removed.add(delta.object_id)
+        elif isinstance(delta, (MembershipAsserted, MembershipRetracted)):
+            for name in superclasses(delta.class_name):
+                grew |= _note(self.members, name, delta.object_id)
+                self.keys.add(("class", name))
+        elif isinstance(delta, (AttributeSet, AttributeRemoved)):
+            grew |= _note(self.edge_subjects, delta.attribute, delta.subject)
+            grew |= _note(self.edge_values, delta.attribute, delta.value)
+            self.keys.add(("attr", delta.attribute))
+        else:  # pragma: no cover - future delta kinds must be handled
+            raise TypeError(f"unknown delta {delta!r}")
+        return grew or sizes != (len(self.created), len(self.removed), len(self.keys))
+
+
+class _CandidateEvaluator:
+    """Candidate-scoped evaluation of ``QL`` concepts over one state.
+
+    Walks paths *out of* the candidates through the source's adjacency
+    read, so the cost follows the candidates' neighbourhoods, not the
+    domain.  Verdicts of path concepts are memoized per object, so views
+    that share fillers within one flush share the work.
+    """
+
+    __slots__ = ("_source", "_verdicts")
+
+    def __init__(self, source) -> None:
+        self._source = source
+        self._verdicts: Dict[int, Dict[str, bool]] = {}
+
+    def members(self, concept: Concept, candidates: Iterable[str]) -> FrozenSet[str]:
+        """The candidates that are objects and belong to ``concept``."""
+        objects = self._source.objects
+        pool = {candidate for candidate in candidates if candidate in objects}
+        if not pool:
+            return frozenset()
+        return frozenset(self._filter(intern_concept(concept), pool))
+
+    def _filter(self, concept: Concept, objects: Set[str]) -> Set[str]:
+        """The objects (of the domain) that belong to ``concept``."""
+        if isinstance(concept, Primitive):
+            extent = self._source.extent(concept.name)
+            return {obj for obj in objects if obj in extent}
+        if isinstance(concept, Top):
+            return objects
+        if isinstance(concept, Singleton):
+            return {concept.constant} if concept.constant in objects else set()
+        if isinstance(concept, And):
+            kept = self._filter(concept.left, objects)
+            return self._filter(concept.right, kept) if kept else kept
+        verdicts = self._verdicts.setdefault(concept_id(concept), {})
+        kept = set()
+        for obj in objects:
+            verdict = verdicts.get(obj)
+            if verdict is None:
+                verdict = verdicts[obj] = self._holds(concept, obj)
+            if verdict:
+                kept.add(obj)
+        return kept
+
+    def _holds(self, concept: Concept, obj: str) -> bool:
+        if isinstance(concept, ExistsPath):
+            return bool(self._ends(concept.path, obj))
+        if isinstance(concept, PathAgreement):
+            left = self._ends(concept.left, obj)
+            return bool(left) and not left.isdisjoint(self._ends(concept.right, obj))
+        raise TypeError(f"not a QL concept: {concept!r}")
+
+    def _ends(self, path: Path, obj: str) -> Set[str]:
+        """The objects reachable from ``obj`` along ``path``."""
+        neighbours = self._source.neighbours
+        frontier = {obj}
+        for step in path.steps:
+            name, inverted = step.attribute.name, step.attribute.inverted
+            reached: Set[str] = set()
+            for node in frontier:
+                reached.update(neighbours(node, name, inverted))
+            frontier = self._filter(step.concept, reached) if reached else reached
+            if not frontier:
+                break
+        return frontier
+
+
+class _AffectedWalk:
+    """Backward walks from one epoch's changed facts over the new state."""
+
+    __slots__ = ("_source", "_changes", "_created", "_reached_memo")
+
+    def __init__(self, source, changes: EpochChanges) -> None:
+        self._source = source
+        self._changes = changes
+        self._created = frozenset(changes.created)
+        self._reached_memo: Dict[int, FrozenSet[str]] = {}
+
+    def affected(self, concept: Concept) -> FrozenSet[str]:
+        """The created objects plus those with a route to a changed fact."""
+        return self._created | self._reached(intern_concept(concept))
+
+    def _reached(self, concept: Concept) -> FrozenSet[str]:
+        """Objects with a route, along ``concept``, to a changed fact."""
+        key = concept_id(concept)
+        found = self._reached_memo.get(key)
+        if found is not None:
+            return found
+        if isinstance(concept, Primitive):
+            found = frozenset(self._changes.members.get(concept.name, ()))
+        elif isinstance(concept, (Top, Singleton)):
+            # Both read only the domain, which changes only at created or
+            # removed objects -- and an edge into such an object changed.
+            found = frozenset()
+        elif isinstance(concept, And):
+            found = self._reached(concept.left) | self._reached(concept.right)
+        elif isinstance(concept, ExistsPath):
+            found = frozenset(self._back(concept.path))
+        elif isinstance(concept, PathAgreement):
+            found = frozenset(self._back(concept.left) | self._back(concept.right))
+        else:
+            raise TypeError(f"not a QL concept: {concept!r}")
+        self._reached_memo[key] = found
+        return found
+
+    def _back(self, path: Path) -> Set[str]:
+        """Start objects of ``path`` with a route to a changed fact.
+
+        Walks the steps last to first: the objects at a step's end that
+        reach a changed fact (through the rest of the path or the step's
+        filler) lead back, one inverse step, to the objects at its start,
+        which also reach one when their own edge for the step changed.
+        """
+        changes = self._changes
+        neighbours = self._source.neighbours
+        reached: Set[str] = set()
+        for step in reversed(path.steps):
+            reached |= self._reached(step.concept)
+            name, inverted = step.attribute.name, step.attribute.inverted
+            changed = changes.edge_values if inverted else changes.edge_subjects
+            previous = set(changed.get(name, ()))
+            for node in reached:
+                previous.update(neighbours(node, name, not inverted))
+            reached = previous
+        return reached
+
+
+def members(concept: Concept, source, candidates: Iterable[str]) -> FrozenSet[str]:
+    """The candidates that are objects of ``source`` and belong to ``concept``.
+
+    Equals ``candidates ∩ source.objects ∩ concept_extension(concept,
+    source.to_interpretation())``, but evaluates the concept on the
+    candidates only: paths are walked out of each candidate through
+    ``source.neighbours`` (a :class:`~repro.database.store.DatabaseState`
+    or a :class:`~repro.database.store.StateSnapshot`).
+    """
+    return _CandidateEvaluator(source).members(concept, candidates)
+
+
+def affected_objects(concept: Concept, source, changes: EpochChanges) -> FrozenSet[str]:
+    """Every object whose membership in ``concept`` the ``changes`` can reach.
+
+    ``source`` is the state *after* the changes.  The result contains the
+    created objects and every object with a route, along the concept's
+    paths and over ``source``'s edges, to a changed edge or a changed
+    membership: a superset of the objects of ``source`` whose membership
+    differs between the state before the changes and ``source`` (the
+    module docstring gives the argument).  Objects the changes deleted
+    are not included -- the flush discards them from every extent -- but
+    the result may name some of them.
+    """
+    return _AffectedWalk(source, changes).affected(concept)
 
 
 class _DirectSink:
@@ -353,76 +575,47 @@ class _MaintenanceEngine:
         self,
         catalog: ViewCatalog,
         *,
-        shards: Optional[int] = None,
-        backend: str = "thread",
-        max_workers: Optional[int] = None,
         statistics: Optional[MaintenanceStatistics] = None,
     ) -> None:
         self.catalog = catalog
-        self.shards = shards
-        self.backend = backend
-        self.max_workers = max_workers
         self.statistics = statistics if statistics is not None else MaintenanceStatistics()
         self._evaluator = QueryEvaluator(catalog.dl_schema)
-        self._empty_checker = _empty_schema_checker()
         self._edge_memo: Dict[Tuple[int, int], bool] = {}
-        self._class_key_memo: Dict[str, FrozenSet[Tuple[str, str]]] = {}
-        self._class_key_schema: Optional[object] = None
+        self._supers_schema = None
+        self._supers_memo: Dict[str, FrozenSet[str]] = {}
         self._index = RelevanceIndex()
         for view in catalog:
             self._index.add(view)
 
     # -- epoch absorption ------------------------------------------------------
 
-    def _absorb(self, pending: _PendingEpoch, delta: Delta, schema) -> None:
+    def _absorb(self, pending: EpochChanges, delta: Delta, schema) -> None:
         """Absorb one mutation-log record into a pending epoch."""
-        stats = self.statistics
-        stats.deltas_seen += 1
-        before = pending.size()
-        if isinstance(delta, ObjectAdded):
-            pending.touched.add(delta.object_id)
-            pending.keys.add(DOMAIN_KEY)
-            pending.keys.add(("const", delta.object_id))
-        elif isinstance(delta, ObjectRemoved):
-            pending.touched.add(delta.object_id)
-            pending.removed.add(delta.object_id)
-        elif isinstance(delta, (MembershipAsserted, MembershipRetracted)):
-            pending.touched.add(delta.object_id)
-            pending.keys.update(self._class_keys(delta.class_name, schema))
-        elif isinstance(delta, (AttributeSet, AttributeRemoved)):
-            pending.touched.add(delta.subject)
-            pending.touched.add(delta.value)
-            pending.keys.add(("attr", delta.attribute))
-        else:  # pragma: no cover - future delta kinds must be handled
-            raise TypeError(f"unknown delta {delta!r}")
-        if pending.size() == before:
-            stats.deltas_coalesced += 1
-
-    def _class_keys(self, class_name: str, schema) -> FrozenSet[Tuple[str, str]]:
-        """Relevance keys of a membership delta (memoized ``isA`` expansion)."""
-        if schema is not self._class_key_schema:
+        if schema is not self._supers_schema:
             # A different hierarchy changes every upward closure.
-            self._class_key_memo.clear()
-            self._class_key_schema = schema
-        cached = self._class_key_memo.get(class_name)
-        if cached is None:
-            cached = frozenset(
-                ("class", superclass)
-                for superclass in schema.all_superclasses(class_name)
-            )
-            self._class_key_memo[class_name] = cached
-        return cached
+            self._supers_schema, self._supers_memo = schema, {}
+        self.statistics.deltas_seen += 1
+        if not pending.record(delta, self._superclasses):
+            self.statistics.deltas_coalesced += 1
 
-    def _coalesce_epochs(self, records: Sequence["MaintenanceEpoch"]) -> _PendingEpoch:
+    def _superclasses(self, class_name: str) -> FrozenSet[str]:
+        """The memoized reflexive ``isA`` closure under the absorbing schema."""
+        found = self._supers_memo.get(class_name)
+        if found is None:
+            found = self._supers_schema.all_superclasses(class_name)
+            self._supers_memo[class_name] = found
+        return found
+
+    def _coalesce_epochs(self, records: Sequence["MaintenanceEpoch"]) -> EpochChanges:
         """Merge a window of epoch records into one pending flush.
 
-        Relevance keys expand against the *last* record's schema -- the one
-        the flush evaluates under; any schema change inside the window
+        Membership changes expand against the *last* record's schema -- the
+        one the flush evaluates under; any schema change inside the window
         forces a full refresh anyway.  Shared by the async worker and by
         crash-recovery :meth:`AsyncMaintainer.replay`, whose convergence
         guarantee depends on the two coalescing identically.
         """
-        pending = _PendingEpoch()
+        pending = EpochChanges()
         schema = records[-1].snapshot.schema
         for record in records:
             if record.schema_changed:
@@ -443,7 +636,7 @@ class _MaintenanceEngine:
 
     # -- flushing -------------------------------------------------------------
 
-    def _flush_pending(self, pending: _PendingEpoch, source, sink) -> None:
+    def _flush_pending(self, pending: EpochChanges, source, sink) -> None:
         """Propagate one pending epoch through the catalog via ``sink``."""
         stats = self.statistics
         stats.flushes += 1
@@ -453,10 +646,7 @@ class _MaintenanceEngine:
         if pending.full_refresh:
             names = set(catalog.names())
             stats.views_relevant += len(names)
-            if self.shards is not None and self.shards > 1:
-                self._flush_sharded(names, source, sink)
-            else:
-                self._flush_flat(names, source, sink)
+            self._refresh(names, source, sink)
             return
 
         # Deleted objects leave every extent; a set discard per view is all
@@ -473,89 +663,69 @@ class _MaintenanceEngine:
         stats.views_skipped_irrelevant += len(catalog) - len(relevant)
         if not relevant:
             return
-        if self.shards is not None and self.shards > 1:
-            self._flush_sharded(relevant, source, sink)
-        elif catalog.use_lattice:
-            # Only the pruning walk consumes the touched set; the other
-            # flush modes refresh every relevant view outright, so they
-            # skip the closure entirely.
-            closed = self._closure(pending.touched, source)
-            stats.objects_touched += len(closed)
-            self._flush_lattice(relevant, closed, source, sink)
+        flush = _Flush(_AffectedWalk(source, pending), _CandidateEvaluator(source), sink)
+        if catalog.use_lattice:
+            self._flush_lattice(relevant, flush)
         else:
-            self._flush_flat(relevant, source, sink)
+            self._flush_flat(relevant, flush)
+        stats.objects_touched += len(flush.touched)
 
-    def _closure(self, seeds: Set[str], source) -> FrozenSet[str]:
-        """Close the touched objects under view-mentioned attribute edges.
+    def _refresh(self, names: Set[str], source, sink) -> None:
+        """Re-materialize views over the whole domain (after a schema swap)."""
+        memo: Dict[int, FrozenSet[str]] = {}
+        for name in sorted(names):
+            view = self.catalog.get(name)
+            if view is None:
+                continue
+            key = concept_id(view.concept)
+            extent = memo.get(key)
+            if extent is None:
+                extent = memo[key] = self._evaluator.concept_answers(view.concept, source)
+                self.statistics.views_evaluated += 1
+            sink.adopt(view, extent)
 
-        A delta at object ``x`` can change the membership of exactly the
-        objects connected to ``x`` through chains of attribute edges some
-        view's paths could traverse; edges are walked undirected because
-        paths may use inverted attributes.
-        """
-        attributes = self._index.mentioned_attributes
-        seen: Set[str] = set(seeds)
-        frontier: List[str] = list(seeds)
-        while frontier:
-            obj = frontier.pop()
-            for attribute, subject, value in source.object_pairs(obj):
-                if attribute not in attributes:
-                    continue
-                for other in (subject, value):
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
-        return frozenset(seen)
-
-    def _evaluate(
-        self, concept: Concept, memo: Dict[int, FrozenSet[str]], source
-    ) -> FrozenSet[str]:
-        key = concept_id(concept)
-        extent = memo.get(key)
-        if extent is None:
-            extent = self._evaluator.concept_answers(concept, source)
-            memo[key] = extent
+    def _patch(self, view: MaterializedView, affected: FrozenSet[str], flush: "_Flush") -> None:
+        """``(current − affected) ∪ members(view, affected)`` through the sink."""
+        key = concept_id(view.concept)
+        found = flush.evaluated.get(key)
+        if found is None:
+            # Views of one concept share its affected set, hence its result.
+            found = flush.evaluated[key] = flush.evaluator.members(view.concept, affected)
             self.statistics.views_evaluated += 1
-        return extent
+        sink = flush.sink
+        sink.adopt(view, (sink.current(view) - affected) | found)
 
     def _edge_holds_everywhere(self, child_id: int, child: Concept, parent: Concept) -> bool:
-        """``True`` iff ``child ⊑ parent`` holds over *every* interpretation.
+        """``True`` when ``child ⊑ parent`` provably holds over *every* interpretation.
 
         The lattice's edges are Σ-subsumptions, which only guarantee extent
         containment over states that are models of Σ -- and a live update
         stream routinely passes through schema-violating states.  Pruning
-        therefore restricts itself to **schema-free** subsumption, which is
-        sound over arbitrary finite interpretations.  The dominant
-        catalog-growth pattern -- specialization by added conjuncts -- is
-        decided by the free told-containment test (``conjuncts(parent) ⊆
-        conjuncts(child)``); only the rare remaining edges pay one
-        empty-schema completion, memoized per interned pair.
+        therefore restricts itself to containments that hold without Σ,
+        proved by the free told-containment test (``conjuncts(parent) ⊆
+        conjuncts(child)``): specialization by added conjuncts, the
+        dominant catalog-growth pattern.  Other edges are not pruned with:
+        an empty-schema completion per unseen pair costs more than
+        evaluating the view on its few affected objects.
         """
         key = (child_id, concept_id(parent))
         cached = self._edge_memo.get(key)
         if cached is None:
             from ..optimizer.parallel import conjunct_ids
 
-            if conjunct_ids(parent) <= conjunct_ids(child):
-                cached = True
-            else:
-                cached = self._empty_checker.subsumes(child, parent)
-            self._edge_memo[key] = cached
+            cached = self._edge_memo[key] = conjunct_ids(parent) <= conjunct_ids(child)
         return cached
 
-    def _flush_lattice(
-        self, relevant: Set[str], touched: FrozenSet[str], source, sink
-    ) -> None:
+    def _flush_lattice(self, relevant: Set[str], flush: "_Flush") -> None:
         """Topological walk of the affected sub-DAG with subsumption pruning.
 
-        A relevant view is *evaluated* only when no parent node rules it
-        out: if every touched object is already absent from a parent's
-        (updated) extents and the view's concept is contained in one of that
-        parent's view concepts over every interpretation, then no touched
-        object can have entered the view -- its stored extent is patched by
-        dropping the touched objects, and the verdict cascades to the
-        descendant cone because the patched extent is itself disjoint from
-        the touched set.
+        Parents are settled before their children.  A relevant view with an
+        empty affected set keeps its extent.  Otherwise it is *evaluated*
+        only when no parent rules its affected objects out: if none of them
+        is in the (already updated) extent of a parent view that contains
+        the view's concept over every interpretation, none of them can be
+        in the view either, and its stored extent is patched by dropping
+        them.
         """
         lattice = self.catalog.lattice
         relevant_nodes: Dict[int, object] = {}
@@ -568,37 +738,33 @@ class _MaintenanceEngine:
                 unclassified.add(name)
         if unclassified:
             # Views registered but (transiently) missing from the DAG fall
-            # back to the relevance-restricted flat refresh.
-            self._flush_flat(unclassified, source, sink)
+            # back to the relevance-restricted flat flush.
+            self._flush_flat(unclassified, flush)
         needed = lattice.ancestor_closure(relevant_nodes.values())
         indegree = {nid: len(node.parents) for nid, node in needed.items()}
         queue = [node for nid, node in needed.items() if not indegree[nid]]
-        effective: Dict[int, FrozenSet[str]] = {}
-        memo: Dict[int, FrozenSet[str]] = {}
         stats = self.statistics
+        sink = flush.sink
         while queue:
             node = queue.pop()
-            nid = id(node)
-            if nid in relevant_nodes:
-                blocking = [
-                    parent
-                    for parent in node.parents
-                    if not touched & effective[id(parent)]
-                ]
+            if id(node) in relevant_nodes:
                 for view in node.views:
+                    affected = flush.walk.affected(view.concept)
+                    if not affected:
+                        continue
+                    flush.touched |= affected
                     view_id = concept_id(view.concept)
                     pruned = any(
-                        self._edge_holds_everywhere(view_id, view.concept, other.concept)
-                        for parent in blocking
+                        affected.isdisjoint(sink.current(other))
+                        and self._edge_holds_everywhere(view_id, view.concept, other.concept)
+                        for parent in node.parents
                         for other in parent.views
                     )
                     if pruned:
-                        sink.discard(view, touched)
+                        sink.discard(view, affected)
                         stats.views_lattice_pruned += 1
                     else:
-                        sink.adopt(view, self._evaluate(view.concept, memo, source))
-            extents = [sink.current(view) for view in node.views]
-            effective[nid] = frozenset().union(*extents) if extents else frozenset()
+                        self._patch(view, affected, flush)
             for child in node.children:
                 cid = id(child)
                 if cid in indegree:
@@ -606,52 +772,31 @@ class _MaintenanceEngine:
                     if not indegree[cid]:
                         queue.append(child)
 
-    def _flush_flat(self, relevant: Set[str], source, sink) -> None:
-        """Relevance-restricted flat refresh (``lattice=False`` catalogs)."""
-        memo: Dict[int, FrozenSet[str]] = {}
+    def _flush_flat(self, relevant: Set[str], flush: "_Flush") -> None:
+        """Relevance-restricted flush without pruning (``lattice=False``)."""
         for name in sorted(relevant):
-            view = self.catalog.get(name)
-            if view is not None:
-                sink.adopt(view, self._evaluate(view.concept, memo, source))
-
-    def _flush_sharded(self, relevant: Set[str], source, sink) -> None:
-        """Evaluate the relevant views on a worker pool (same extents)."""
-        from ..optimizer.parallel import resolve_shards, run_shards
-
-        names = sorted(relevant)
-        unique: List[Tuple[int, Concept]] = []
-        seen: Set[int] = set()
-        for name in names:
             view = self.catalog.get(name)
             if view is None:
                 continue
-            key = concept_id(view.concept)
-            if key not in seen:
-                seen.add(key)
-                unique.append((key, view.concept))
-        shard_count = resolve_shards(self.shards, len(unique))
-        if not shard_count:
-            return
-        # Warm the generation-cached interpretation before fanning out, so
-        # workers share one export instead of racing to build it.
-        source.to_interpretation()
-        evaluator = self._evaluator
+            affected = flush.walk.affected(view.concept)
+            if affected:
+                flush.touched |= affected
+                self._patch(view, affected, flush)
 
-        def worker(shard: int) -> List[Tuple[int, FrozenSet[str]]]:
-            """Evaluate this shard's slice of views against the pinned source."""
-            return [
-                (key, evaluator.concept_answers(concept, source))
-                for key, concept in unique[shard::shard_count]
-            ]
 
-        extents: Dict[int, FrozenSet[str]] = {}
-        for results in run_shards(worker, shard_count, self.backend, self.max_workers):
-            extents.update(results)
-        self.statistics.views_evaluated += len(unique)
-        for name in names:
-            view = self.catalog.get(name)
-            if view is not None:
-                sink.adopt(view, extents[concept_id(view.concept)])
+class _Flush:
+    """The working state of one flush: walks, memos and the sink."""
+
+    __slots__ = ("walk", "evaluator", "sink", "evaluated", "touched")
+
+    def __init__(self, walk: _AffectedWalk, evaluator: _CandidateEvaluator, sink) -> None:
+        self.walk = walk
+        self.evaluator = evaluator
+        self.sink = sink
+        #: concept id -> members(concept, affected) of this flush.
+        self.evaluated: Dict[int, FrozenSet[str]] = {}
+        #: Union of the affected sets of the views examined.
+        self.touched: Set[str] = set()
 
 
 class MaintenanceQueue(_MaintenanceEngine):
@@ -669,10 +814,6 @@ class MaintenanceQueue(_MaintenanceEngine):
         The store to watch and the views to maintain.  Views must be
         materialized (refreshed) against the state at attach time -- the
         engine keeps correct extents correct, it does not bootstrap them.
-    shards, backend, max_workers:
-        When ``shards`` is set, flushes evaluate the surviving views on a
-        :func:`repro.optimizer.parallel.run_shards` pool instead of the
-        lattice-pruned sequential walk (same resulting extents).
     """
 
     def __init__(
@@ -680,20 +821,11 @@ class MaintenanceQueue(_MaintenanceEngine):
         state: DatabaseState,
         catalog: ViewCatalog,
         *,
-        shards: Optional[int] = None,
-        backend: str = "thread",
-        max_workers: Optional[int] = None,
         statistics: Optional[MaintenanceStatistics] = None,
     ) -> None:
-        super().__init__(
-            catalog,
-            shards=shards,
-            backend=backend,
-            max_workers=max_workers,
-            statistics=statistics,
-        )
+        super().__init__(catalog, statistics=statistics)
         self.state = state
-        self._pending = _PendingEpoch()
+        self._pending = EpochChanges()
         state.subscribe(self)
         catalog.add_maintenance_listener(self)
 
@@ -733,7 +865,7 @@ class MaintenanceQueue(_MaintenanceEngine):
         """Propagate the pending epoch to every affected view extent."""
         if self._pending.empty:
             return
-        pending, self._pending = self._pending, _PendingEpoch()
+        pending, self._pending = self._pending, EpochChanges()
         self._flush_pending(pending, self.state, _DirectSink(self.state.generation))
 
 
@@ -802,9 +934,6 @@ class AsyncMaintainer(_MaintenanceEngine):
         *,
         window: int = 4,
         max_pending: int = 256,
-        shards: Optional[int] = None,
-        backend: str = "thread",
-        max_workers: Optional[int] = None,
         statistics: Optional[MaintenanceStatistics] = None,
         bootstrap: bool = False,
     ) -> None:
@@ -812,13 +941,7 @@ class AsyncMaintainer(_MaintenanceEngine):
             raise ValueError("window must be at least 1 epoch")
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1 epoch")
-        super().__init__(
-            catalog,
-            shards=shards,
-            backend=backend,
-            max_workers=max_workers,
-            statistics=statistics,
-        )
+        super().__init__(catalog, statistics=statistics)
         self.state = state
         self.window = window
         self.max_pending = max_pending
@@ -1165,14 +1288,7 @@ class AsyncMaintainer(_MaintenanceEngine):
             if not self._stopped:
                 raise RuntimeError("recover() requires a stopped maintainer (kill() first)")
             records = tuple(self._log)
-        generation = AsyncMaintainer.replay(
-            records,
-            self.catalog,
-            shards=self.shards,
-            backend=self.backend,
-            max_workers=self.max_workers,
-            statistics=self.statistics,
-        )
+        generation = AsyncMaintainer.replay(records, self.catalog, statistics=self.statistics)
         if records:
             with self._publish:
                 self._serving = records[-1].snapshot
@@ -1187,9 +1303,6 @@ class AsyncMaintainer(_MaintenanceEngine):
         epochs: Iterable[MaintenanceEpoch],
         catalog: ViewCatalog,
         *,
-        shards: Optional[int] = None,
-        backend: str = "thread",
-        max_workers: Optional[int] = None,
         statistics: Optional[MaintenanceStatistics] = None,
     ) -> Optional[int]:
         """Re-apply a crashed maintainer's complete unflushed epoch log.
@@ -1209,13 +1322,7 @@ class AsyncMaintainer(_MaintenanceEngine):
         records = sorted(epochs, key=lambda epoch: epoch.sequence)
         if not records:
             return None
-        engine = _MaintenanceEngine(
-            catalog,
-            shards=shards,
-            backend=backend,
-            max_workers=max_workers,
-            statistics=statistics,
-        )
+        engine = _MaintenanceEngine(catalog, statistics=statistics)
         target = records[-1]
         pending = engine._coalesce_epochs(records)
         engine.statistics.replayed_epochs += len(records)

@@ -31,9 +31,9 @@ Since PR 4 the store is **versioned and delta-logged**:
   that drives the incremental view-maintenance engine
   (:mod:`repro.database.maintenance`);
 * reverse indexes (object -> classes, object -> attribute pairs,
-  ``(subject, attribute)`` -> values) make :meth:`remove_object` and
-  :meth:`attribute_values` proportional to the object's own data instead of
-  the whole store;
+  ``(subject, attribute)`` -> values) make :meth:`remove_object`,
+  :meth:`attribute_values` and :meth:`neighbours` proportional to the
+  object's own data instead of the whole store;
 * upward-closed extents are memoized per class with targeted,
   generation-correct invalidation (a membership change invalidates exactly
   the class and its superclasses), and :meth:`to_interpretation` is a
@@ -62,7 +62,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..concepts.schema import Schema
 from ..semantics.interpretation import Interpretation
@@ -166,13 +166,13 @@ class StateSnapshot:
     attributes), not O(data)).  The snapshot exposes exactly the read
     surface query evaluation and the maintenance flush walk consume
     (:meth:`to_interpretation`, :attr:`objects`, :meth:`extent`,
-    :meth:`attribute_pairs`, :meth:`object_pairs`), so views can be
+    :meth:`attribute_pairs`, :meth:`neighbours`), so views can be
     re-materialized against a *past* generation while the live state keeps
     mutating -- the serve-from-generation substrate of the async
     maintenance tier (:class:`repro.database.maintenance.AsyncMaintainer`).
 
     Snapshots are **picklable** (custom ``__getstate__``/``__setstate__``
-    over the slots, dropping the lazily built pairs index): the durable
+    over the slots, dropping the lazily built indexes): the durable
     tier's checkpoint files (:mod:`repro.database.wal`) are pickled
     snapshots.  To make a checkpoint lossless the snapshot also pins the
     *explicit* membership assertions (:attr:`explicit`) -- the upward-closed
@@ -191,6 +191,7 @@ class StateSnapshot:
         "_concepts",
         "_attributes",
         "_pairs_index",
+        "_adjacency",
     )
 
     def __init__(self, state: "DatabaseState") -> None:
@@ -216,11 +217,12 @@ class StateSnapshot:
             self._concepts = {}
             self._attributes = {}
         self._pairs_index: Optional[Dict[str, Tuple[Tuple[str, str, str], ...]]] = None
+        self._adjacency: Dict[Tuple[str, bool], Dict[str, List[str]]] = {}
 
     def __getstate__(self):
-        # Slots class: pickle every slot except the lazily built pairs
-        # index (cheap to rebuild, and keeping it out makes checkpoint
-        # payloads independent of whether a flush walked the snapshot).
+        # Slots class: pickle every slot except the lazily built indexes
+        # (cheap to rebuild, and keeping them out makes checkpoint payloads
+        # independent of whether a flush walked the snapshot).
         return {
             "generation": self.generation,
             "schema": self.schema,
@@ -235,6 +237,7 @@ class StateSnapshot:
         for slot, value in payload.items():
             object.__setattr__(self, slot, value)
         object.__setattr__(self, "_pairs_index", None)
+        object.__setattr__(self, "_adjacency", {})
 
     def to_interpretation(self, constants: Optional[Iterable[str]] = None) -> Interpretation:
         """The pinned state as a finite interpretation (see ``DatabaseState``)."""
@@ -269,13 +272,36 @@ class StateSnapshot:
         """Attribute names with a pinned extension."""
         return frozenset(self._attributes)
 
+    def neighbours(self, object_id: str, attribute: str, inverted: bool = False) -> Collection[str]:
+        """The fillers of ``attribute`` (``attribute^-1`` when ``inverted``) at one object.
+
+        The snapshot counterpart of :meth:`DatabaseState.neighbours`:
+        backed by a per-direction index of one attribute's pinned pairs,
+        built on first use (one pass over that attribute's pairs, on the
+        maintenance worker thread, never on the committing mutator).  The
+        returned collection belongs to the index; callers must not mutate
+        it.
+        """
+        key = (attribute, inverted)
+        index = self._adjacency.get(key)
+        if index is None:
+            index = {}
+            for subject, value in self._attributes.get(attribute, ()):
+                if inverted:
+                    subject, value = value, subject
+                bucket = index.get(subject)
+                if bucket is None:
+                    index[subject] = [value]
+                else:
+                    bucket.append(value)
+            self._adjacency[key] = index
+        return index.get(object_id, ())
+
     def object_pairs(self, object_id: str) -> Tuple[Tuple[str, str, str], ...]:
         """The ``(attribute, subject, value)`` triples touching one object.
 
         Backed by an index built lazily from the pinned attribute
-        extensions (one O(total pairs) pass on first use, amortized over a
-        whole flush batch); the build runs on the maintenance worker
-        thread, never on the committing mutator.
+        extensions (one O(total pairs) pass on first use).
         """
         if self._pairs_index is None:
             index: Dict[str, List[Tuple[str, str, str]]] = {}
@@ -670,11 +696,29 @@ class DatabaseState:
     def object_pairs(self, object_id: str) -> FrozenSet[Tuple[str, str, str]]:
         """The ``(attribute, subject, value)`` triples touching one object.
 
-        Both the subject and the value position count as "touching"; the
-        maintenance engine walks these edges to find objects whose view
-        membership a delta may have changed.
+        Both the subject and the value position count as "touching".  The
+        result is a copy, safe to hold across later mutations.
         """
         return frozenset(self._pairs_of.get(object_id, ()))
+
+    def neighbours(self, object_id: str, attribute: str, inverted: bool = False) -> Collection[str]:
+        """The fillers of ``attribute`` (``attribute^-1`` when ``inverted``) at one object.
+
+        ``neighbours(x, P)`` are the ``y`` with ``(x, y) ∈ P``;
+        ``neighbours(x, P, inverted=True)`` are the ``y`` with ``(y, x) ∈
+        P``.  This is the adjacency read of the maintenance engine's path
+        walks, and it copies no relation: a forward read returns the live
+        ``(subject, attribute)`` index entry, an inverted read filters the
+        object's own triples.  Callers must neither mutate the result nor
+        hold it across a mutation of the state.
+        """
+        if not inverted:
+            return self._values_of.get((object_id, attribute), ())
+        return [
+            subject
+            for name, subject, value in self._pairs_of.get(object_id, ())
+            if name == attribute and value == object_id
+        ]
 
     def classes(self) -> FrozenSet[str]:
         """Class names with at least one explicit member, plus schema classes."""

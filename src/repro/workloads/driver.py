@@ -349,8 +349,6 @@ def run_maintenance_workload(
     batch_size: int = 8,
     queries: int = 8,
     seed: int = 0,
-    shards: Optional[int] = None,
-    backend: str = "thread",
     serve: bool = True,
     batched_registration: bool = False,
 ) -> Dict[str, object]:
@@ -365,7 +363,7 @@ def run_maintenance_workload(
       model);
     * the **engine** side routes the epoch through ``with state.batch():``
       and one :class:`~repro.database.maintenance.MaintenanceQueue` flush
-      (relevance-indexed, lattice-pruned, optionally sharded).
+      (relevance-indexed, affected-set scoped, lattice-pruned).
 
     After every epoch both sides serve a query from the stream against the
     live catalog (``serve=False`` skips it for pure-maintenance timing).
@@ -394,7 +392,7 @@ def run_maintenance_workload(
     def build_side(side_state: DatabaseState) -> SemanticQueryOptimizer:
         optimizer = SemanticQueryOptimizer(schema, lattice=True)
         if batched_registration:
-            optimizer.register_views_batch(items, backend=backend)
+            optimizer.register_views_batch(items)
         else:
             for name, concept in items:
                 optimizer.register_view_concept(name, concept)
@@ -403,9 +401,7 @@ def run_maintenance_workload(
 
     naive = build_side(naive_state)
     engine = build_side(engine_state)
-    queue = MaintenanceQueue(
-        engine_state, engine.catalog, shards=shards, backend=backend
-    )
+    queue = MaintenanceQueue(engine_state, engine.catalog)
 
     naive_serving_sound = True
     start = time.perf_counter()
@@ -461,8 +457,6 @@ def run_maintenance_workload(
         "updates": len(ops),
         "batch_size": batch_size,
         "epochs": len(epochs),
-        "shards": shards,
-        "backend": backend,
         "naive_seconds": naive_seconds,
         "engine_seconds": engine_seconds,
         "speedup": (naive_seconds / engine_seconds) if engine_seconds else None,
@@ -500,8 +494,6 @@ def run_async_maintenance_workload(
     window: int = 4,
     queries: int = 8,
     seed: int = 0,
-    shards: Optional[int] = None,
-    backend: str = "thread",
     batched_registration: bool = False,
 ) -> Dict[str, object]:
     """Serve reads under a sustained update stream: sync vs. async flushing.
@@ -548,7 +540,7 @@ def run_async_maintenance_workload(
     def build_side(side_state: DatabaseState) -> SemanticQueryOptimizer:
         optimizer = SemanticQueryOptimizer(schema, lattice=True)
         if batched_registration:
-            optimizer.register_views_batch(items, backend=backend)
+            optimizer.register_views_batch(items)
         else:
             for name, concept in items:
                 optimizer.register_view_concept(name, concept)
@@ -557,18 +549,8 @@ def run_async_maintenance_workload(
 
     sync_side = build_side(sync_state)
     async_side = build_side(async_state)
-    # Both tiers get the identical flush configuration (shards/backend), so
-    # the latency delta isolates async-vs-sync serving, not sharding.
-    sync_queue = MaintenanceQueue(
-        sync_state, sync_side.catalog, shards=shards, backend=backend
-    )
-    maintainer = AsyncMaintainer(
-        async_state,
-        async_side.catalog,
-        window=window,
-        shards=shards,
-        backend=backend,
-    )
+    sync_queue = MaintenanceQueue(sync_state, sync_side.catalog)
+    maintainer = AsyncMaintainer(async_state, async_side.catalog, window=window)
 
     # Pre-warm view matching for both sides before any timing: matching
     # shares process-wide decision caches, so whichever timed loop ran
@@ -663,8 +645,6 @@ def run_async_maintenance_workload(
         "batch_size": batch_size,
         "window": window,
         "epochs": len(epochs),
-        "shards": shards,
-        "backend": backend,
         "sync_seconds": sync_seconds,
         "async_seconds": async_seconds,
         "sync_p50_latency_ms": 1e3 * median(sync_latencies) if sync_latencies else None,
@@ -703,8 +683,6 @@ def run_durable_maintenance_workload(
     batch_size: int = 8,
     window: int = 4,
     seed: int = 0,
-    shards: Optional[int] = None,
-    backend: str = "thread",
     sync_every: int = 1,
     checkpoint_every: int = 8,
     log_dir: Optional[str] = None,
@@ -771,9 +749,7 @@ def run_durable_maintenance_workload(
     cleanup = log_dir is None
     checkpoint_dir = os.path.join(root, "checkpointed")
     replay_dir = os.path.join(root, "replay-only")
-    volatile = AsyncMaintainer(
-        volatile_state, volatile_side.catalog, window=window, shards=shards, backend=backend
-    )
+    volatile = AsyncMaintainer(volatile_state, volatile_side.catalog, window=window)
     durable = DurableMaintainer(
         durable_state,
         durable_side.catalog,
@@ -781,8 +757,6 @@ def run_durable_maintenance_workload(
         sync_every=sync_every,
         checkpoint_every=checkpoint_every,
         window=window,
-        shards=shards,
-        backend=backend,
     )
     replay_writer = DurableMaintainer(
         replay_state,
@@ -791,8 +765,6 @@ def run_durable_maintenance_workload(
         sync_every=sync_every,
         checkpoint_every=None,
         window=window,
-        shards=shards,
-        backend=backend,
     )
     # The workload's seeded objects predate the log: a genesis checkpoint
     # makes them recoverable.  The replay-only side keeps exactly this one
@@ -846,8 +818,6 @@ def run_durable_maintenance_workload(
             generator_schema,
             optimizer.catalog,
             window=window,
-            shards=shards,
-            backend=backend,
         )
         seconds = time.perf_counter() - t0
         return recovered, optimizer, seconds
@@ -893,8 +863,6 @@ def run_durable_maintenance_workload(
         "batch_size": batch_size,
         "epochs": len(epochs),
         "window": window,
-        "shards": shards,
-        "backend": backend,
         "sync_every": sync_every,
         "checkpoint_every": checkpoint_every,
         "volatile_p50_latency_ms": (
@@ -943,8 +911,6 @@ def run_commit_fleet_workload(
     checkpoint_every: Optional[int] = None,
     window: int = 4,
     seed: int = 0,
-    shards: Optional[int] = None,
-    backend: str = "thread",
     durable: bool = True,
     log_dir: Optional[str] = None,
     fs=None,
@@ -1017,16 +983,12 @@ def run_commit_fleet_workload(
             sync_every=sync_every,
             checkpoint_every=checkpoint_every,
             window=window,
-            shards=shards,
-            backend=backend,
             fs=fs,
         )
         # Genesis checkpoint: the workload's seeded objects predate the log.
         maintainer.checkpoint()
     else:
-        maintainer = AsyncMaintainer(
-            state, side.catalog, window=window, shards=shards, backend=backend
-        )
+        maintainer = AsyncMaintainer(state, side.catalog, window=window)
 
     # Pre-warm view matching so reader soundness checks don't serialize on
     # cold decision-cache misses while the writers are being timed.
@@ -1139,8 +1101,7 @@ def run_commit_fleet_workload(
     if durable:
         fresh = build_side(None)
         recovered = DurableMaintainer.open(
-            root, generator_schema, fresh.catalog, window=window,
-            shards=shards, backend=backend, fs=fs,
+            root, generator_schema, fresh.catalog, window=window, fs=fs
         )
         try:
             recovered_sequence = recovered.recovery_report.recovered_sequence
@@ -1183,8 +1144,6 @@ def run_commit_fleet_workload(
         "sync_every": sync_every if durable else None,
         "checkpoint_every": checkpoint_every if durable else None,
         "durable": durable,
-        "shards": shards,
-        "backend": backend,
         "wall_seconds": wall_seconds,
         "commits_per_second": (
             total_commits / wall_seconds if wall_seconds else None
@@ -1875,8 +1834,10 @@ def main(argv=None) -> int:
     parser.add_argument("--updates", type=int, default=48)
     parser.add_argument("--batch-size", type=int, default=8)
     parser.add_argument("--window", type=int, default=4)
-    parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--backend", default="thread")
+    parser.add_argument(
+        "--shards", type=int, default=2, help="matcher shards (batch scenario only)"
+    )
+    parser.add_argument("--backend", default="thread", help="shard backend (batch scenario only)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sync-every", type=int, default=1)
     parser.add_argument("--checkpoint-every", type=int, default=8)
@@ -1941,8 +1902,6 @@ def main(argv=None) -> int:
             readers=args.readers,
             commits=args.commits,
             sync_every=args.sync_every,
-            shards=args.shards if args.shards > 1 else None,
-            backend=args.backend,
             seed=args.seed,
         )
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -1962,8 +1921,6 @@ def main(argv=None) -> int:
             updates=args.updates,
             batch_size=args.batch_size,
             window=args.window,
-            shards=args.shards if args.shards > 1 else None,
-            backend=args.backend,
             seed=args.seed,
             sync_every=args.sync_every,
             checkpoint_every=args.checkpoint_every,
@@ -1985,8 +1942,6 @@ def main(argv=None) -> int:
             batch_size=args.batch_size,
             window=args.window,
             queries=args.queries,
-            shards=args.shards if args.shards > 1 else None,
-            backend=args.backend,
             seed=args.seed,
         )
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -2006,8 +1961,6 @@ def main(argv=None) -> int:
             updates=args.updates,
             batch_size=args.batch_size,
             queries=args.queries,
-            shards=args.shards if args.shards > 1 else None,
-            backend=args.backend,
             seed=args.seed,
         )
         print(json.dumps(report, indent=2, sort_keys=True))

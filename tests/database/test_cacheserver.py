@@ -196,6 +196,10 @@ class TestRemoteDecisionCache:
 
     def test_pickles_by_address(self, server, client):
         client.set(1, 2, True)
+        # The set is write-behind; the clone reads on a new connection,
+        # which nothing orders after it.  A synchronous get on the writing
+        # client's connection (served in request order) lands the write.
+        assert client.get(1, 2) is True
         clone = pickle.loads(pickle.dumps(client))
         assert clone.address == client.address
         assert clone.namespace == client.namespace

@@ -35,7 +35,6 @@ from ..strategies import (
     hierarchical_catalog,
     mutation_vocabulary,
     mutations,
-    simple_mutations,
 )
 
 SCHEMA = random_schema(
@@ -62,7 +61,6 @@ def flat_catalog():
 
 # -- op strategies (shared with the async oracle; see tests/strategies.py) ---
 
-simple_op = simple_mutations(OBJECT_IDS, CLASSES, ATTRIBUTES)
 op = mutations(OBJECT_IDS, CLASSES, ATTRIBUTES)
 
 
@@ -106,35 +104,6 @@ class TestEquivalenceOracle:
         finally:
             queue.close()
         assert_extents_match_oracle(flat_catalog, state)
-
-    @settings(deadline=None, max_examples=20)
-    @given(ops=st.lists(simple_op, min_size=1, max_size=15))
-    def test_sharded_flush_equals_sequential(self, ops):
-        sequential_catalog = build_catalog(lattice=True)
-        sharded_catalog = build_catalog(lattice=True)
-        state_a, state_b = seed_state(), seed_state()
-        sequential_catalog.refresh_all(state_a)
-        sharded_catalog.refresh_all(state_b)
-        queue_a = MaintenanceQueue(state_a, sequential_catalog)
-        queue_b = MaintenanceQueue(
-            state_b, sharded_catalog, shards=2, backend="thread"
-        )
-        try:
-            with state_a.batch():
-                for operation in ops:
-                    apply_op(state_a, operation)
-            with state_b.batch():
-                for operation in ops:
-                    apply_op(state_b, operation)
-        finally:
-            queue_a.close()
-            queue_b.close()
-        for name in sequential_catalog.names():
-            assert (
-                sequential_catalog.get(name).stored_extent
-                == sharded_catalog.get(name).stored_extent
-            )
-        assert_extents_match_oracle(sharded_catalog, state_b)
 
     @settings(deadline=None, max_examples=25)
     @given(ops=st.lists(op, max_size=15))
@@ -298,10 +267,8 @@ class TestRelevanceIndex:
 
         index.add(FakeView())
         assert index.views_for([("attr", "suffers")]) == {"v"}
-        assert "suffers" in index.mentioned_attributes
         index.discard("v")
         assert not index.views_for([("attr", "suffers")])
-        assert "suffers" not in index.mentioned_attributes
 
 
 class TestMaintenanceQueue:

@@ -16,6 +16,11 @@ now hosts the strategies the maintenance and batch-layer suites share
 * :func:`mutation_vocabulary` / :func:`hierarchical_catalog` -- the shared
   schema-derived vocabulary and the deterministic classified-catalog
   builder the maintenance oracles run against;
+* :data:`STATE_OBJECTS` / :func:`fuzzed_catalog` -- the object pool and
+  the catalog builder the affected-set oracles fuzz over: states built on
+  the concept vocabulary, so fuzzed concepts (inverted attributes,
+  singletons naming stored objects, ``⊤``, nested fillers, two-sided
+  agreements) bite on them;
 * :func:`deep_chain_schemas` / :func:`necessity_schemas` /
   :func:`adversarial_schemas` -- the adversarial ``SL`` schemas (empty
   schema, deep ``isA`` chains, necessity/typing axioms gating the S5 rule,
@@ -47,6 +52,10 @@ from repro.semantics.interpretation import Interpretation
 CONCEPT_NAMES = ["A", "B", "C"]
 ATTRIBUTE_NAMES = ["p", "q"]
 CONSTANT_NAMES = ["a", "b"]
+
+#: Object ids of the states the affected-set oracles fuzz: the constants
+#: are stored objects too, so singleton concepts can name them.
+STATE_OBJECTS = CONSTANT_NAMES + ["o2", "o3", "o4"]
 
 #: Name pool for the deep-``isA``-chain adversarial schemas.
 CHAIN_NAMES = [f"L{i}" for i in range(7)]
@@ -255,6 +264,43 @@ def hierarchical_catalog(schema: Schema, size: int, *, lattice: bool = True, see
     catalog = ViewCatalog(None, checker=SubsumptionChecker(schema), lattice=lattice)
     for name, concept in generate_hierarchical_catalog(schema, size, seed=seed).items():
         catalog.register_concept(name, concept)
+    return catalog
+
+
+def layered_concepts(base, max_size: int = 4):
+    """Concept lists whose later members specialize earlier ones.
+
+    Draws up to ``max_size`` concepts from ``base`` and appends the
+    conjunction of each neighbouring pair, so a classified catalog over the
+    list has parent-child edges that hold over every interpretation -- the
+    edges the maintenance walk prunes with.
+    """
+
+    def layer(bases):
+        return bases + [And(left, right) for left, right in zip(bases, bases[1:])]
+
+    return st.lists(base, min_size=1, max_size=max_size).map(layer)
+
+
+def agreements(filler=None):
+    """Two-sided path agreements ``∃p ≐ q`` (both paths non-empty)."""
+    step_filler = filler if filler is not None else concepts(max_depth=2)
+    path = paths(max_length=2, filler=step_filler)
+    return st.builds(PathAgreement, path, path)
+
+
+def fuzzed_catalog(schema: Schema, view_concepts, *, lattice: bool = True):
+    """A classified :class:`ViewCatalog` over fuzzed view concepts.
+
+    Deterministic given its inputs (not a strategy): views are named
+    ``v0, v1, ...`` in the order given.
+    """
+    from repro.core.checker import SubsumptionChecker
+    from repro.database.views import ViewCatalog
+
+    catalog = ViewCatalog(None, checker=SubsumptionChecker(schema), lattice=lattice)
+    for index, concept in enumerate(view_concepts):
+        catalog.register_concept(f"v{index}", concept)
     return catalog
 
 

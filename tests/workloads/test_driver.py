@@ -57,13 +57,6 @@ class TestMaintenanceWorkloadDriver:
         assert report["flushes"] == report["epochs"]
         assert report["deltas_seen"] > 0
 
-    def test_synthetic_sharded_flush_green(self):
-        report = run_maintenance_workload(
-            "synthetic", views=6, updates=18, batch_size=6, seed=4, shards=2
-        )
-        assert report["extents_equal"]
-        assert report["states_equal"]
-
     @pytest.mark.parametrize("workload", ["university", "synthetic"])
     def test_async_serving_workload_green(self, workload):
         report = run_async_maintenance_workload(
