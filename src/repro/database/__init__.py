@@ -20,7 +20,6 @@ from .lattice import LatticeMatchStats, LatticeNode, ViewLattice
 from .maintenance import (
     AsyncMaintainer,
     DurableMaintainer,
-    MaintenanceEpoch,
     MaintenanceQueue,
     MaintenanceStatistics,
     RecoveryReport,
@@ -38,6 +37,7 @@ from .store import (
     AttributeSet,
     DatabaseState,
     Delta,
+    EpochRecord,
     IntegrityViolation,
     MembershipAsserted,
     MembershipRetracted,
@@ -46,7 +46,7 @@ from .store import (
     StateSnapshot,
 )
 from .views import MaterializedView, ViewCatalog
-from .wal import EpochRecord, WalError, WriteAheadLog
+from .wal import WalError, WriteAheadLog
 
 __all__ = [
     "DatabaseState",
@@ -62,7 +62,6 @@ __all__ = [
     "MaintenanceQueue",
     "AsyncMaintainer",
     "DurableMaintainer",
-    "MaintenanceEpoch",
     "MaintenanceStatistics",
     "RecoveryReport",
     "RelevanceIndex",

@@ -60,6 +60,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .faults import CircuitBreaker, FaultPolicy, network_fault_policy
+from .net import TCPService
 
 __all__ = [
     "DecisionCacheServer",
@@ -295,52 +296,16 @@ class _CacheHandler(socketserver.StreamRequestHandler):
         self.wfile.write(text.encode("utf-8") + b"\r\n")
 
 
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs):
-        self._active_lock = threading.Lock()
-        self._active: set = set()
-        super().__init__(*args, **kwargs)
-
-    def process_request(self, request, client_address):
-        with self._active_lock:
-            self._active.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._active_lock:
-            self._active.discard(request)
-        super().shutdown_request(request)
-
-    def close_all_connections(self) -> None:
-        """Abruptly drop every established connection (a dead server has
-        no live sockets -- closing only the listener would leave clients
-        connected to a ghost)."""
-        with self._active_lock:
-            doomed = list(self._active)
-            self._active.clear()
-        for request in doomed:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                request.close()
-            except OSError:
-                pass
-
-
-class DecisionCacheServer:
+class DecisionCacheServer(TCPService):
     """The shared decision-cache server (stdlib sockets, text protocol).
 
     ``port=0`` (the default) binds an ephemeral port; :attr:`address` is
     the bound ``(host, port)`` to hand to clients.  :meth:`start` serves
-    on a daemon thread; :meth:`close` shuts the listener down.  All
-    handler threads funnel into one :class:`_CacheStore` whose LRU bound
-    (``max_entries``) caps memory; invalidation is by namespace (see the
-    module docstring), so the server itself never interprets entries.
+    on a daemon thread; :meth:`close` shuts the listener down and drops
+    established connections.  All handler threads funnel into one
+    :class:`_CacheStore` whose LRU bound (``max_entries``) caps memory;
+    invalidation is by namespace (see the module docstring), so the server
+    itself never interprets entries.
     """
 
     #: Bumped on any incompatible wire change; clients may probe it with
@@ -356,46 +321,14 @@ class DecisionCacheServer:
         idle_timeout: Optional[float] = 60.0,
     ) -> None:
         self.store = _CacheStore(max_entries)
-        self._server = _ThreadingTCPServer((host, port), _CacheHandler)
-        self._server.store = self.store  # type: ignore[attr-defined]
-        self._server.idle_timeout = idle_timeout  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` -- resolve after construction."""
-        return self._server.server_address[:2]
-
-    def start(self) -> "DecisionCacheServer":
-        """Serve forever on a daemon thread; returns ``self`` for chaining."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="decision-cache-server",
-            daemon=True,
+        super().__init__(
+            _CacheHandler,
+            host,
+            port,
+            idle_timeout=idle_timeout,
+            thread_name="decision-cache-server",
+            store=self.store,
         )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the listening socket (idempotent).
-
-        Established client connections are dropped too -- a closed server
-        must look exactly like a dead one, so self-healing clients take
-        their reconnect path instead of talking to a ghost handler.
-        """
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.close_all_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "DecisionCacheServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

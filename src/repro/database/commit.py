@@ -74,7 +74,8 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
 from .faults import FaultPolicy
-from .wal import EpochRecord, WalError, WriteAheadLog
+from .store import EpochRecord
+from .wal import WalError, WriteAheadLog
 
 __all__ = [
     "CommitScheduler",

@@ -49,7 +49,8 @@ from typing import Optional
 
 from .commit import CommitScheduler, DurabilityError
 from .faults import FaultPolicy
-from .wal import EpochRecord, WriteAheadLog, catalog_identity
+from .store import EpochRecord
+from .wal import WriteAheadLog, require_catalog_identity
 
 __all__ = [
     "FailoverCoordinator",
@@ -115,38 +116,16 @@ class _EpochAppender:
 
     The minimal durable write path for a promoted primary (the full
     :class:`~repro.database.maintenance.DurableMaintainer` adds async
-    flushing and checkpointing on top of the same discipline): buffer the
-    epoch's typed deltas, and on commit append one
-    :class:`~repro.database.wal.EpochRecord` through the fenced
+    flushing and checkpointing on top of the same discipline): append the
+    store's :class:`~repro.database.store.EpochRecord` through the fenced
     scheduler.  A fenced or degraded append surfaces its typed error to
     the committing writer.
     """
 
-    def __init__(self, state, scheduler: CommitScheduler) -> None:
-        self.state = state
+    def __init__(self, scheduler: CommitScheduler) -> None:
         self.scheduler = scheduler
-        self._deltas: list = []
-        self._schema_changed = False
 
-    def on_delta(self, delta) -> None:
-        self._deltas.append(delta)
-
-    def on_schema_changed(self) -> None:
-        self._schema_changed = True
-
-    def on_commit(self) -> None:
-        deltas = tuple(self._deltas)
-        schema_changed = self._schema_changed
-        self._deltas = []
-        self._schema_changed = False
-        if not deltas and not schema_changed:
-            return
-        record = EpochRecord(
-            sequence=self.state.commit_sequence,
-            generation=self.state.generation,
-            deltas=deltas,
-            schema_changed=schema_changed,
-        )
+    def on_commit(self, record: EpochRecord) -> None:
         ticket = self.scheduler.append(record)
         if ticket.error is not None:
             raise ticket.error
@@ -251,7 +230,9 @@ class FailoverCoordinator:
         schema when the durable tail carries ``schema_changed`` epochs
         past the replica's position (the delta log does not carry the
         swap itself).  ``strict_catalog`` requires the WAL checkpoint's
-        catalog identity to match the replica's.
+        catalog identity to match the replica's (a mismatch raises
+        :class:`~repro.database.wal.WalError`, as in
+        :meth:`~repro.database.maintenance.DurableMaintainer.open`).
 
         Steps, in fencing-safe order: bump the epoch (stale primary
         rejected from here on), recover the durable WAL image, rebase
@@ -278,13 +259,7 @@ class FailoverCoordinator:
         if found.checkpoint is not None:
             checkpoint_sequence = found.checkpoint.sequence
             if strict_catalog:
-                ours = list(catalog_identity(replica.optimizer.catalog))
-                theirs = list(found.checkpoint.catalog)
-                if ours != theirs:
-                    raise ValueError(
-                        "checkpoint catalog identity does not match the "
-                        "replica's; pass strict_catalog=False to override"
-                    )
+                require_catalog_identity(found.checkpoint.catalog, replica.optimizer.catalog)
             if replica.applied_sequence < found.checkpoint.sequence:
                 # The replica's position predates the durable checkpoint:
                 # the WAL tail alone cannot bridge the gap, so rebase the
@@ -320,7 +295,7 @@ class FailoverCoordinator:
         scheduler = CommitScheduler(
             wal, policy=fault_policy, fence=self.guard(token)
         )
-        appender = _EpochAppender(replica.state, scheduler)
+        appender = _EpochAppender(scheduler)
         replica.state.attach_commit_scheduler(scheduler)
         replica.state.subscribe(appender)
         report = PromotionReport(

@@ -8,13 +8,13 @@ updates cost O(catalog) concept evaluations per mutation.  This module is
 the delta-driven replacement, after Decker 1994 (see PAPERS.md): each check
 is specialised to the updated facts instead of re-checking the database.
 
-* the store's **mutation log** (:mod:`repro.database.store` emits typed
-  :class:`~repro.database.store.Delta` records) feeds a
-  :class:`MaintenanceQueue`, which coalesces the deltas of one epoch
-  (``with state.batch(): ...``) into :class:`EpochChanges` -- the created
-  and removed objects, the objects whose class memberships changed, the
-  changed attribute edges and the epoch's *relevance keys* -- and flushes
-  once, on commit;
+* the store's **mutation log** seals each committed epoch (``with
+  state.batch(): ...``) into one :class:`~repro.database.store.EpochRecord`
+  of typed :class:`~repro.database.store.Delta` records; a
+  :class:`MaintenanceQueue` receives it on commit, coalesces its deltas
+  into :class:`EpochChanges` -- the created and removed objects, the
+  objects whose class memberships changed, the changed attribute edges and
+  the epoch's *relevance keys* -- and flushes once;
 * a **relevance index** maps the class / attribute / constant names a
   view's concept mentions to the views mentioning them, so a delta batch
   only ever considers views whose definition could possibly react to it
@@ -51,18 +51,17 @@ The module has **three tiers** over the same flush engine:
 * :class:`MaintenanceQueue` is the synchronous tier: one flush per commit,
   on the committing thread;
 * :class:`AsyncMaintainer` (PR 5) is the asynchronous tier: every commit
-  enqueues a :class:`MaintenanceEpoch` -- the epoch's typed deltas plus a
-  generation-pinned :class:`~repro.database.store.StateSnapshot` -- to a
-  background worker that coalesces up to ``window`` epochs per flush,
-  evaluates against the *pinned* snapshot (never the racing live state)
-  and publishes the resulting extents atomically, generation-stamped.
-  Readers therefore always observe the extents of the last fully-flushed
-  generation: a consistent prefix of the commit history, never a torn mix.
-  ``sync()``/``drain()`` are flush barriers, ``max_pending`` bounds the
-  epoch queue (commits block -- backpressure -- instead of growing it
-  without bound), and the unflushed epoch log is crash-safe: deltas are
-  idempotent to replay, so :meth:`AsyncMaintainer.replay` re-applies a
-  killed maintainer's log and converges to the synchronous tier's result;
+  enqueues the epoch record together with a generation-pinned
+  :class:`~repro.database.store.StateSnapshot` to a background worker that
+  coalesces up to ``window`` epochs per flush, evaluates against the
+  *pinned* snapshot (never the racing live state) and publishes the
+  resulting extents atomically, generation-stamped.  Readers therefore
+  always observe the extents of the last fully-flushed generation: a
+  consistent prefix of the commit history, never a torn mix.
+  ``sync()``/``drain()`` are flush barriers, and ``max_pending`` bounds
+  the epoch queue (commits block -- backpressure -- instead of growing it
+  without bound).  The queue lives in memory only: once ``kill()`` or a
+  crash stops the worker, commits raise instead of queuing;
 * :class:`DurableMaintainer` is the durable tier: the async tier plus a
   write-ahead log (:mod:`repro.database.wal`).  Every committed epoch is
   appended -- CRC-framed, fsync-batched per ``sync_every`` -- to the WAL
@@ -71,10 +70,8 @@ The module has **three tiers** over the same flush engine:
   :meth:`DurableMaintainer.open` recovers across **process restarts**:
   newest valid checkpoint, replay of the epoch tail (stopping at the
   first torn frame, reporting what was dropped), full extent
-  regeneration.  Checkpoints also bound the in-memory epoch log:
-  :meth:`AsyncMaintainer.truncate_covered_epochs` drops epochs a durable
-  checkpoint subsumes, so a long-running server's log cannot grow without
-  bound even when the flush worker has died.
+  regeneration.  That is the only crash recovery; an in-process rebuild
+  is a new maintainer constructed with ``bootstrap=True``.
 
 The flat per-view notification loop
 (:meth:`~repro.database.views.ViewCatalog.notify_object_added`) and the
@@ -127,6 +124,7 @@ from .store import (
     AttributeSet,
     DatabaseState,
     Delta,
+    EpochRecord,
     MembershipAsserted,
     MembershipRetracted,
     ObjectAdded,
@@ -137,10 +135,10 @@ from .views import MaterializedView, ViewCatalog
 from .commit import CommitScheduler, FaultPolicy
 from .wal import (
     CheckpointPayload,
-    EpochRecord,
     WalError,
     WriteAheadLog,
     catalog_identity,
+    require_catalog_identity,
 )
 
 __all__ = [
@@ -148,7 +146,6 @@ __all__ = [
     "RelevanceIndex",
     "EpochChanges",
     "MaintenanceQueue",
-    "MaintenanceEpoch",
     "AsyncMaintainer",
     "DurableMaintainer",
     "RecoveryReport",
@@ -214,8 +211,6 @@ class MaintenanceStatistics:
     epochs_coalesced: int = 0
     #: Commits that blocked because the bounded epoch queue was full.
     backpressure_waits: int = 0
-    #: Epochs re-applied by crash-recovery replay.
-    replayed_epochs: int = 0
 
 
 class RelevanceIndex:
@@ -563,9 +558,8 @@ class _MaintenanceEngine:
 
     Holds the relevance index, the evaluator, the pruning memos and the
     flush walk; *how* pending epochs reach :meth:`_flush_pending` -- on the
-    committing thread (:class:`MaintenanceQueue`), on a background worker
-    (:class:`AsyncMaintainer`) or from a replayed log
-    (:meth:`AsyncMaintainer.replay`) -- is the subclasses' policy.  Every
+    committing thread (:class:`MaintenanceQueue`) or on a background
+    worker (:class:`AsyncMaintainer`) -- is the subclasses' policy.  Every
     flush method evaluates against an explicit ``source`` (the live state
     or a pinned :class:`~repro.database.store.StateSnapshot`) and writes
     through an explicit sink, so the same walk serves both tiers.
@@ -589,14 +583,22 @@ class _MaintenanceEngine:
 
     # -- epoch absorption ------------------------------------------------------
 
-    def _absorb(self, pending: EpochChanges, delta: Delta, schema) -> None:
-        """Absorb one mutation-log record into a pending epoch."""
+    def _absorb(self, pending: EpochChanges, record: EpochRecord, schema) -> None:
+        """Absorb one committed epoch into a pending flush.
+
+        Membership changes expand against ``schema`` -- the one the flush
+        evaluates under; a schema swap forces a full refresh anyway.
+        """
         if schema is not self._supers_schema:
             # A different hierarchy changes every upward closure.
             self._supers_schema, self._supers_memo = schema, {}
-        self.statistics.deltas_seen += 1
-        if not pending.record(delta, self._superclasses):
-            self.statistics.deltas_coalesced += 1
+        if record.schema_changed:
+            pending.full_refresh = True
+        stats = self.statistics
+        for delta in record.deltas:
+            stats.deltas_seen += 1
+            if not pending.record(delta, self._superclasses):
+                stats.deltas_coalesced += 1
 
     def _superclasses(self, class_name: str) -> FrozenSet[str]:
         """The memoized reflexive ``isA`` closure under the absorbing schema."""
@@ -605,24 +607,6 @@ class _MaintenanceEngine:
             found = self._supers_schema.all_superclasses(class_name)
             self._supers_memo[class_name] = found
         return found
-
-    def _coalesce_epochs(self, records: Sequence["MaintenanceEpoch"]) -> EpochChanges:
-        """Merge a window of epoch records into one pending flush.
-
-        Membership changes expand against the *last* record's schema -- the
-        one the flush evaluates under; any schema change inside the window
-        forces a full refresh anyway.  Shared by the async worker and by
-        crash-recovery :meth:`AsyncMaintainer.replay`, whose convergence
-        guarantee depends on the two coalescing identically.
-        """
-        pending = EpochChanges()
-        schema = records[-1].snapshot.schema
-        for record in records:
-            if record.schema_changed:
-                pending.full_refresh = True
-            for delta in record.deltas:
-                self._absorb(pending, delta, schema)
-        return pending
 
     # -- catalog listener -----------------------------------------------------
 
@@ -800,10 +784,10 @@ class _Flush:
 
 
 class MaintenanceQueue(_MaintenanceEngine):
-    """Coalesces store deltas per epoch and flushes them through the catalog.
+    """Flushes each committed epoch's deltas through the catalog.
 
     Attaching the queue subscribes it to the state's mutation log and the
-    catalog's registration events; from then on every mutation epoch
+    catalog's registration events; from then on every committed epoch
     (single mutations auto-commit, ``with state.batch():`` groups many)
     triggers exactly one :meth:`flush`, synchronously, on the committing
     thread.  Detach with :meth:`close`.
@@ -825,78 +809,42 @@ class MaintenanceQueue(_MaintenanceEngine):
     ) -> None:
         super().__init__(catalog, statistics=statistics)
         self.state = state
-        self._pending = EpochChanges()
         state.subscribe(self)
         catalog.add_maintenance_listener(self)
 
     def close(self) -> None:
-        """Detach from the store and the catalog (pending work is flushed)."""
-        self.flush()
+        """Detach from the store and the catalog."""
         self.state.unsubscribe(self)
         self.catalog.remove_maintenance_listener(self)
 
-    # -- store listener -------------------------------------------------------
+    def on_commit(self, record: EpochRecord) -> None:
+        """Store listener: flush the committed epoch."""
+        self.flush(record)
 
-    @property
-    def pending(self) -> bool:
-        """``True`` while deltas await the next flush."""
-        return not self._pending.empty
+    def flush(self, record: EpochRecord) -> None:
+        """Propagate one committed epoch to every affected view extent.
 
-    def on_schema_changed(self) -> None:
-        """The store swapped its schema: every extent may have moved.
-
-        The next flush re-materializes every view outright -- no
+        A schema swap re-materializes every view outright -- no
         object-level delta describes an ``isA`` change, so relevance cannot
         narrow it (the hierarchy memo invalidates by schema identity).
         """
-        self._pending.full_refresh = True
-
-    def on_delta(self, delta: Delta) -> None:
-        """Absorb one mutation-log record into the pending epoch."""
-        self._absorb(self._pending, delta, self.state.schema)
-
-    def on_commit(self) -> None:
-        """End of a mutation epoch: flush once."""
-        self.flush()
-
-    # -- flushing -------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Propagate the pending epoch to every affected view extent."""
-        if self._pending.empty:
-            return
-        pending, self._pending = self._pending, EpochChanges()
-        self._flush_pending(pending, self.state, _DirectSink(self.state.generation))
-
-
-@dataclass(frozen=True)
-class MaintenanceEpoch:
-    """One committed mutation epoch in the async maintainer's log.
-
-    Carries everything a flush -- or a post-crash replay -- needs: the
-    epoch's raw typed deltas (idempotent to replay), whether the schema was
-    swapped during the epoch, and the generation-pinned snapshot of the
-    state at commit, against which the worker evaluates.
-    """
-
-    sequence: int
-    generation: int
-    deltas: Tuple[Delta, ...]
-    schema_changed: bool
-    snapshot: StateSnapshot
+        pending = EpochChanges()
+        self._absorb(pending, record, self.state.schema)
+        if not pending.empty:
+            self._flush_pending(pending, self.state, _DirectSink(self.state.generation))
 
 
 class AsyncMaintainer(_MaintenanceEngine):
     """Asynchronous maintenance: commit fast, flush in the background.
 
-    Every committed epoch is recorded as a :class:`MaintenanceEpoch` and
-    handed to a worker thread; the committing thread returns immediately
-    (unless the bounded queue exerts backpressure).  The worker merges up
-    to ``window`` queued epochs per flush -- cross-epoch coalescing: deltas
-    that cancel or duplicate across epochs are paid for once -- evaluates
-    against the *last* merged epoch's pinned snapshot, and publishes all
-    resulting extents atomically under the publish lock, stamped with that
-    epoch's generation.
+    Every committed epoch record is queued, together with a snapshot
+    pinned at commit, for a worker thread; the committing thread returns
+    immediately (unless the bounded queue exerts backpressure).  The
+    worker merges up to ``window`` queued epochs per flush -- cross-epoch
+    coalescing: deltas that cancel or duplicate across epochs are paid for
+    once -- evaluates against the *last* merged epoch's pinned snapshot,
+    and publishes all resulting extents atomically under the publish lock,
+    stamped with that epoch's generation.
 
     **Consistency model.**  Readers see *consistent-generation serving*:
     at any instant, every stored extent equals the from-scratch refresh of
@@ -911,10 +859,12 @@ class AsyncMaintainer(_MaintenanceEngine):
     the call is flushed; :meth:`drain` is ``sync`` returning the published
     generation; :meth:`close` drains, stops the worker and detaches.
 
-    **Crash safety.**  The unflushed epoch log survives :meth:`kill` (a
-    simulated crash); :meth:`replay` re-applies it synchronously and
-    converges to exactly the synchronous tier's result, because deltas are
-    typed and idempotent to replay.
+    **Crashes.**  The queue lives in memory and dies with the worker:
+    after :meth:`kill` (a simulated crash) or a worker failure, a commit
+    raises instead of queuing, and the stored extents stay at the last
+    published generation.  Crash recovery is the durable tier's
+    :meth:`DurableMaintainer.open`; an in-process rebuild is a new
+    maintainer constructed with ``bootstrap=True``.
 
     **Concurrency contract.**  State mutations may come from one mutator
     thread and reads from any number of reader threads.  *Catalog*
@@ -950,9 +900,7 @@ class AsyncMaintainer(_MaintenanceEngine):
         self._done = threading.Condition(self._lock)
         self._publish = threading.Lock()
         self._flush_lock = threading.Lock()
-        self._log: List[MaintenanceEpoch] = []
-        self._epoch_deltas: List[Delta] = []
-        self._epoch_schema_changed = False
+        self._log: List[Tuple[EpochRecord, StateSnapshot]] = []
         self._sequence = 0
         self._flushed_sequence = 0
         self._stopped = False
@@ -976,30 +924,18 @@ class AsyncMaintainer(_MaintenanceEngine):
 
     # -- store listener (mutator thread) --------------------------------------
 
-    def on_delta(self, delta: Delta) -> None:
-        """Record one mutation-log record into the open epoch."""
-        self._epoch_deltas.append(delta)
-
-    def on_schema_changed(self) -> None:
-        """The store swapped its schema mid-epoch: flag a full refresh."""
-        self._epoch_schema_changed = True
-
-    def on_commit(self) -> None:
-        """End of a mutation epoch: enqueue it (blocking on backpressure).
+    def on_commit(self, record: EpochRecord) -> None:
+        """Enqueue a committed epoch (blocking on backpressure).
 
         Unlike :meth:`sync`, a full queue does **not** raise while paused:
         the state mutation has already happened, so dropping the epoch
         would desynchronize the catalog forever, and overrunning the bound
         would defeat it.  The commit blocks -- backpressure by design --
-        until another thread calls :meth:`resume` (or :meth:`kill`, which
-        raises here and leaves the epoch to :meth:`replay`).
+        until another thread calls :meth:`resume` (or :meth:`kill`).  A
+        stopped or crashed worker can never flush, so the commit raises
+        without queuing; the sequence still advances, so a later durable
+        checkpoint covers the commit.
         """
-        deltas = tuple(self._epoch_deltas)
-        schema_changed = self._epoch_schema_changed
-        self._epoch_deltas = []
-        self._epoch_schema_changed = False
-        if not deltas and not schema_changed:
-            return
         snapshot = self.state.snapshot()
         with self._lock:
             if (
@@ -1016,35 +952,17 @@ class AsyncMaintainer(_MaintenanceEngine):
                 and self._failure is None
             ):
                 self._done.wait()
-            # Record the epoch *unconditionally*: the state mutation has
-            # already happened, so even when the worker is dead the log --
-            # the crash-safe record replay() recovers from -- must hold
-            # this epoch; the queue bound yields to durability once no
-            # worker can drain it.  The error (if any) surfaces after.
             # The sequence is store-assigned (bumped before listeners run,
             # under the store's write lock), so concurrent writers cannot
             # race the numbering and the durable tier persists the same
             # number it enqueues.
-            self._sequence = self.state.commit_sequence
-            self._log.append(
-                MaintenanceEpoch(
-                    self._sequence,
-                    snapshot.generation,
-                    deltas,
-                    schema_changed,
-                    snapshot,
-                )
-            )
+            self._sequence = record.sequence
+            self._raise_if_failed()
+            if self._stopped:
+                raise RuntimeError("AsyncMaintainer is stopped; the epoch was not queued")
+            self._log.append((record, snapshot))
             self.statistics.epochs_enqueued += 1
             self._wake.notify_all()
-            if self._failure is not None:
-                raise RuntimeError(
-                    "async maintenance worker crashed; epoch recorded for replay()"
-                ) from self._failure
-            if self._stopped:
-                raise RuntimeError(
-                    "AsyncMaintainer is stopped; epoch recorded for replay()"
-                )
 
     # -- catalog listener ------------------------------------------------------
 
@@ -1072,24 +990,26 @@ class AsyncMaintainer(_MaintenanceEngine):
                 self._flush_batch(batch)
                 with self._lock:
                     del self._log[: len(batch)]
-                    self._flushed_sequence = batch[-1].sequence
+                    self._flushed_sequence = batch[-1][0].sequence
                     self._done.notify_all()
         except BaseException as error:  # pragma: no cover - surfaced to callers
             with self._lock:
                 self._failure = error
                 self._done.notify_all()
 
-    def _flush_batch(self, batch: Sequence[MaintenanceEpoch]) -> None:
+    def _flush_batch(self, batch: Sequence[Tuple[EpochRecord, StateSnapshot]]) -> None:
         """Merge one window of epochs and flush against the last snapshot."""
-        target = batch[-1]
-        pending = self._coalesce_epochs(batch)
+        _, target = batch[-1]
+        pending = EpochChanges()
+        for record, _ in batch:
+            self._absorb(pending, record, target.schema)
         self.statistics.epochs_coalesced += len(batch) - 1
         with self._flush_lock:
             sink = _StagedSink(target.generation)
-            self._flush_pending(pending, target.snapshot, sink)
+            self._flush_pending(pending, target, sink)
             with self._publish:
                 sink.install()
-                self._serving = target.snapshot
+                self._serving = target
 
     # -- serving ----------------------------------------------------------------
 
@@ -1152,41 +1072,6 @@ class AsyncMaintainer(_MaintenanceEngine):
         with self._lock:
             return len(self._log)
 
-    def unflushed_epochs(self) -> Tuple[MaintenanceEpoch, ...]:
-        """The crash-safe log: every committed, not-yet-published epoch."""
-        with self._lock:
-            return tuple(self._log)
-
-    def truncate_covered_epochs(self, covered_sequence: int) -> int:
-        """Drop in-memory epochs that durable storage makes redundant.
-
-        ``covered_sequence`` is the highest epoch sequence some durable
-        artifact (a WAL checkpoint, an external snapshot) fully subsumes.
-        Only epochs the worker has already flushed -- or, when the worker
-        is stopped or crashed, epochs it can *never* flush -- are pruned;
-        a live worker's unflushed epochs are untouchable, because the
-        worker reads ``self._log[:window]`` and prunes by position, and
-        because :meth:`sync` waiters gauge progress by the retained log.
-        With a live worker the log therefore never holds flushed epochs
-        (the worker deletes them as it publishes) and this call is a
-        no-op; its purpose is the dead-worker regime, where
-        :meth:`on_commit` appends unconditionally and the log would
-        otherwise grow without bound for as long as the process lives.
-        Returns the number of epochs pruned.  :meth:`unflushed_epochs`
-        keeps its meaning: everything still awaiting an in-memory flush
-        survives pruning.
-        """
-        with self._lock:
-            limit = covered_sequence
-            if not self._stopped and self._failure is None:
-                limit = min(limit, self._flushed_sequence)
-            kept = [epoch for epoch in self._log if epoch.sequence > limit]
-            pruned = len(self._log) - len(kept)
-            if pruned:
-                self._log[:] = kept
-                self._done.notify_all()
-        return pruned
-
     def pause(self) -> None:
         """Suspend flushing after the in-flight batch (windowing/tests)."""
         with self._lock:
@@ -1225,9 +1110,7 @@ class AsyncMaintainer(_MaintenanceEngine):
                         "sync() cannot complete while paused; resume() first"
                     )
                 if self._stopped:
-                    raise RuntimeError(
-                        "worker stopped with unflushed epochs (recover via replay())"
-                    )
+                    raise RuntimeError("worker stopped with unflushed epochs")
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False
@@ -1260,9 +1143,9 @@ class AsyncMaintainer(_MaintenanceEngine):
     def kill(self) -> None:
         """Stop the worker *without* flushing (crash simulation) and detach.
 
-        Unflushed epochs stay in :meth:`unflushed_epochs` for
-        :meth:`replay`; the state and catalog are unsubscribed so the dead
-        maintainer no longer observes mutations.
+        Queued epochs are never flushed; the stored extents stay at the
+        last published generation.  The state and catalog are unsubscribed
+        so the dead maintainer no longer observes mutations.
         """
         with self._lock:
             self._stopped = True
@@ -1272,62 +1155,6 @@ class AsyncMaintainer(_MaintenanceEngine):
             self._worker.join()
         self.state.unsubscribe(self)
         self.catalog.remove_maintenance_listener(self)
-
-    # -- crash recovery -----------------------------------------------------------
-
-    def recover(self) -> Optional[int]:
-        """Replay this stopped maintainer's own unflushed log in place.
-
-        The instance-level recovery path: besides re-applying the log (see
-        :meth:`replay`), it advances the serving cut -- ``read_extents()``
-        / :meth:`serving_state` answer for the recovered generation
-        afterwards, keeping the consistent-cut contract intact through a
-        crash-and-recover cycle.  Requires a stopped worker (:meth:`kill`).
-        """
-        with self._lock:
-            if not self._stopped:
-                raise RuntimeError("recover() requires a stopped maintainer (kill() first)")
-            records = tuple(self._log)
-        generation = AsyncMaintainer.replay(records, self.catalog, statistics=self.statistics)
-        if records:
-            with self._publish:
-                self._serving = records[-1].snapshot
-            with self._lock:
-                self._flushed_sequence = records[-1].sequence
-                del self._log[: len(records)]
-        return generation
-
-    @classmethod
-    def replay(
-        cls,
-        epochs: Iterable[MaintenanceEpoch],
-        catalog: ViewCatalog,
-        *,
-        statistics: Optional[MaintenanceStatistics] = None,
-    ) -> Optional[int]:
-        """Re-apply a crashed maintainer's complete unflushed epoch log.
-
-        The records are coalesced like one window and flushed against the
-        *last* record's pinned snapshot -- exactly what the crashed worker
-        would eventually have published.  Deltas are idempotent to replay,
-        so replaying twice (or after a partial earlier flush) converges to
-        the same extents.  Returns the published generation, or ``None``
-        when the log is empty.
-
-        This classmethod targets the real crash scenario, where the dead
-        maintainer object is gone and only its persisted log remains; when
-        the instance is still at hand, prefer :meth:`recover`, which also
-        advances the instance's serving cut to the recovered generation.
-        """
-        records = sorted(epochs, key=lambda epoch: epoch.sequence)
-        if not records:
-            return None
-        engine = _MaintenanceEngine(catalog, statistics=statistics)
-        target = records[-1]
-        pending = engine._coalesce_epochs(records)
-        engine.statistics.replayed_epochs += len(records)
-        engine._flush_pending(pending, target.snapshot, _DirectSink(target.generation))
-        return target.generation
 
 
 # ---------------------------------------------------------------------------
@@ -1359,46 +1186,19 @@ class RecoveryReport:
     generation: int
 
 
-def _require_catalog_identity(recorded, catalog: ViewCatalog) -> None:
-    """Raise :class:`WalError` unless the checkpoint's catalog matches.
-
-    Compared by structural equality of the normalized concepts, not by
-    intern id: the recorded side crossed a pickle boundary and equal ids
-    are only guaranteed for ids issued while the intern tables are live
-    (after ``clear_intern_tables`` an old canonical instance embedded in
-    one side can split otherwise-equal structures onto distinct ids).
-    """
-    from ..concepts.normalize import normalize_concept
-
-    current = {view.name: normalize_concept(view.concept) for view in catalog}
-    loaded = {name: normalize_concept(concept) for name, concept in recorded}
-    if current != loaded:
-        missing = sorted(set(loaded) - set(current))
-        added = sorted(set(current) - set(loaded))
-        changed = sorted(
-            name for name in set(current) & set(loaded) if current[name] != loaded[name]
-        )
-        raise WalError(
-            "checkpoint catalog identity does not match the supplied catalog "
-            f"(missing={missing}, added={added}, changed={changed}); recover "
-            "with the catalog the log was written under, or pass "
-            "strict_catalog=False to rebuild extents for the new catalog"
-        )
-
-
 class DurableMaintainer(AsyncMaintainer):
     """The durable tier: :class:`AsyncMaintainer` over a write-ahead log.
 
-    **Commit path.**  Every committed epoch's typed deltas are appended to
-    the WAL -- CRC-framed, fsync-batched per ``sync_every`` -- *before*
-    the epoch is enqueued for asynchronous flushing: once
+    **Commit path.**  Every committed epoch record is appended to the WAL
+    -- CRC-framed, fsync-batched per ``sync_every`` -- *before* the epoch
+    is enqueued for asynchronous flushing: once
     :attr:`WriteAheadLog.durable_sequence` covers a commit, no crash can
     lose it.  Every ``checkpoint_every`` commits a checkpoint pickles the
-    full state snapshot plus the catalog identity, compacts the log
-    segments it subsumes and prunes the in-memory epoch log
-    (:meth:`AsyncMaintainer.truncate_covered_epochs`).
+    full state snapshot plus the catalog identity and compacts the log
+    segments it subsumes.
 
-    **Recovery.**  :meth:`open` rebuilds everything in a fresh process:
+    **Recovery.**  :meth:`open` is the system's one crash recovery; it
+    rebuilds everything in a fresh process:
     newest valid checkpoint, replay of the epoch tail through
     :meth:`~repro.database.store.DatabaseState.apply_delta` (stopping at
     the first torn frame -- see :meth:`WriteAheadLog.recover`), full
@@ -1410,10 +1210,9 @@ class DurableMaintainer(AsyncMaintainer):
     **Sequencing contract.**  Epoch sequences are **store-assigned**:
     ``DatabaseState.batch()`` serializes writer threads on the store's
     write lock and bumps :attr:`~repro.database.store.DatabaseState.commit_sequence`
-    once per effective commit, before listeners run.  The WAL record
-    written here and the in-memory epoch the base class enqueues both
-    carry that number, so concurrent writers can never race the
-    numbering.
+    once per effective commit, before listeners run.  The store's epoch
+    record -- appended here and enqueued by the base class -- carries that
+    number, so concurrent writers can never race the numbering.
 
     **Failure semantics.**  WAL I/O runs through a
     :class:`~repro.database.commit.CommitScheduler` under a bounded-retry
@@ -1430,8 +1229,8 @@ class DurableMaintainer(AsyncMaintainer):
     fsync-ACK handle is its :class:`~repro.database.commit.CommitTicket`
     (``state.last_commit_ticket``); with ``sync_every > 1`` tickets
     resolve by group commit -- N writers share one fsync.  A dead flush
-    worker does not stop WAL appends or checkpoints: durability outlives
-    the serving tier.
+    worker does not stop WAL appends or checkpoints: its commits raise,
+    but they are in the log, so durability outlives the serving tier.
     """
 
     def __init__(
@@ -1472,17 +1271,8 @@ class DurableMaintainer(AsyncMaintainer):
 
     # -- commit path (writer threads, serialized by the store) -----------------
 
-    def on_commit(self) -> None:
+    def on_commit(self, record: EpochRecord) -> None:
         """WAL-first commit: schedule the epoch frame, then enqueue it."""
-        if not self._epoch_deltas and not self._epoch_schema_changed:
-            super().on_commit()
-            return
-        record = EpochRecord(
-            sequence=self.state.commit_sequence,
-            generation=self.state.generation,
-            deltas=tuple(self._epoch_deltas),
-            schema_changed=self._epoch_schema_changed,
-        )
         # The scheduler retries transient faults, degrades on persistent
         # ones and never raises OSError itself; a failed commit surfaces
         # through the ticket after the bookkeeping below.  Simulated
@@ -1491,11 +1281,10 @@ class DurableMaintainer(AsyncMaintainer):
         ticket = self.scheduler.append(record)
         enqueue_error: Optional[BaseException] = None
         try:
-            super().on_commit()
+            super().on_commit(record)
         except RuntimeError as error:
-            # A stopped/crashed worker: the epoch is recorded for replay
-            # and -- unlike the base tier -- already durable.  Checkpoint
-            # bookkeeping below must still run so the log stays bounded.
+            # A stopped/crashed worker: the epoch is not queued, but it is
+            # in the WAL, and checkpointing below keeps the log bounded.
             enqueue_error = error
         self._commits_since_checkpoint += 1
         if (
@@ -1514,7 +1303,7 @@ class DurableMaintainer(AsyncMaintainer):
         return self.scheduler.heal()
 
     def checkpoint(self) -> CheckpointPayload:
-        """Durably checkpoint the current state; prune covered epochs.
+        """Durably checkpoint the current state.
 
         Runs on a writer thread (never mid-batch: commits fire after the
         outermost batch exits), so the snapshot is a consistent cut
@@ -1546,7 +1335,6 @@ class DurableMaintainer(AsyncMaintainer):
                 "remains the recovery basis and the log itself is intact"
             ) from error
         self._commits_since_checkpoint = 0
-        self.truncate_covered_epochs(sequence)
         return payload
 
     # -- lifecycle --------------------------------------------------------------
@@ -1562,34 +1350,6 @@ class DurableMaintainer(AsyncMaintainer):
             pass
 
     # -- recovery ----------------------------------------------------------------
-
-    def recover(self) -> Optional[int]:
-        """In-place recovery for the durable tier: regenerate every extent.
-
-        Checkpoints prune the in-memory epoch log, so the base tier's
-        log-replay recovery no longer sees every unflushed delta here.
-        The live state, however, already reflects *all* committed epochs
-        -- so the durable tier recovers by re-deriving every extent from
-        the current snapshot and advancing the serving cut to it.
-        Requires a stopped worker (:meth:`kill`); for cross-process
-        recovery use :meth:`open`.
-        """
-        with self._lock:
-            if not self._stopped:
-                raise RuntimeError(
-                    "recover() requires a stopped maintainer (kill() first)"
-                )
-            records = len(self._log)
-            sequence = self._sequence
-        snapshot = self.state.snapshot()
-        self.catalog.regenerate_extents(snapshot)
-        with self._publish:
-            self._serving = snapshot
-        with self._lock:
-            self._flushed_sequence = sequence
-            del self._log[:]
-        self.statistics.replayed_epochs += records
-        return snapshot.generation
 
     @classmethod
     def open(
@@ -1631,7 +1391,7 @@ class DurableMaintainer(AsyncMaintainer):
         found = wal.recover()
         if found.checkpoint is not None:
             if strict_catalog:
-                _require_catalog_identity(found.checkpoint.catalog, catalog)
+                require_catalog_identity(found.checkpoint.catalog, catalog)
             base = found.checkpoint.snapshot
             state = DatabaseState.from_snapshot(
                 base, schema=schema if schema is not None else base.schema

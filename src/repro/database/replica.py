@@ -14,10 +14,11 @@ snapshot plus a typed-delta tail**:
   record), everything a fresh process needs to rebuild state, catalog
   and extents from nothing;
 * the delta leg is a stream of
-  :class:`~repro.database.wal.EpochRecord` frames in the **WAL's own
-  frame format** (``<u32 length><u32 crc32><pickled payload>``), one per
-  committed epoch past the snapshot -- the identical bytes-on-the-wire
-  discipline recovery already trusts, CRC-checked per frame.
+  :class:`~repro.database.store.EpochRecord` frames (the records the
+  primary's store seals at commit) in the **WAL's own frame format**
+  (``<u32 length><u32 crc32><pickled payload>``), one per committed epoch
+  past the snapshot -- the identical bytes-on-the-wire discipline
+  recovery already trusts, CRC-checked per frame.
 
 :class:`SnapshotReplica` is the reader side: it rebuilds a local
 ``DatabaseState`` via ``from_snapshot``, registers the catalog's
@@ -58,8 +59,9 @@ from .faults import (
     StalenessError,
     network_fault_policy,
 )
-from .store import DatabaseState
-from .wal import _HEADER, _MAX_FRAME_BYTES, EpochRecord, catalog_identity
+from .net import TCPService
+from .store import DatabaseState, EpochRecord
+from .wal import _HEADER, _MAX_FRAME_BYTES, _encode_frame, catalog_identity
 
 __all__ = [
     "ReplicaConnectionError",
@@ -87,10 +89,6 @@ class ReplicaConnectionError(ReplicaProtocolError, ConnectionError):
     so the shared network fault policy
     (:func:`~repro.database.faults.is_retryable_net_error`) retries it.
     """
-
-
-def _encode_frame(payload: bytes) -> bytes:
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _read_exact(rfile, count: int) -> bytes:
@@ -131,8 +129,6 @@ class _ReplicaState:
         self.tail_limit = tail_limit
         self.lock = threading.Lock()
         self.tail: List[EpochRecord] = []
-        self.epoch_deltas: List = []
-        self.epoch_schema_changed = False
         self.snapshots_served = 0
         self.deltas_served = 0
         self.rebases = 0
@@ -149,33 +145,13 @@ class _ReplicaState:
 
     # -- mutation-log listener (runs on the primary's mutator thread) ------
 
-    def on_delta(self, delta) -> None:
-        """Buffer one typed delta of the epoch currently being committed."""
-        self.epoch_deltas.append(delta)
-
-    def on_schema_changed(self) -> None:
-        """Mark the in-flight epoch as carrying a schema swap."""
-        self.epoch_schema_changed = True
-
-    def on_commit(self) -> None:
-        """Seal the in-flight epoch into the tail, rebasing on swap/overflow."""
-        deltas = tuple(self.epoch_deltas)
-        schema_changed = self.epoch_schema_changed
-        self.epoch_deltas = []
-        self.epoch_schema_changed = False
-        if not deltas and not schema_changed:
-            return
-        record = EpochRecord(
-            sequence=self.state.commit_sequence,
-            generation=self.state.generation,
-            deltas=deltas,
-            schema_changed=schema_changed,
-        )
+    def on_commit(self, record: EpochRecord) -> None:
+        """Append a committed epoch to the tail, rebasing on swap/overflow."""
         with self.lock:
             # A schema swap invalidates every shipped delta interpretation:
             # rebase so late joiners (and resyncing replicas) start from a
             # snapshot taken under the new schema.
-            if schema_changed or len(self.tail) >= self.tail_limit:
+            if record.schema_changed or len(self.tail) >= self.tail_limit:
                 self._rebase_locked()
             else:
                 self.tail.append(record)
@@ -279,44 +255,7 @@ class _ReplicaHandler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args, **kwargs):
-        self._active_lock = threading.Lock()
-        self._active: set = set()
-        super().__init__(*args, **kwargs)
-
-    def process_request(self, request, client_address):
-        with self._active_lock:
-            self._active.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._active_lock:
-            self._active.discard(request)
-        super().shutdown_request(request)
-
-    def close_all_connections(self) -> None:
-        """Abruptly drop every established connection (a dead server has
-        no live sockets -- closing only the listener would leave clients
-        connected to a ghost)."""
-        with self._active_lock:
-            doomed = list(self._active)
-            self._active.clear()
-        for request in doomed:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                request.close()
-            except OSError:
-                pass
-
-
-class ReplicaServer:
+class ReplicaServer(TCPService):
     """Ships generation-stamped snapshots + delta tails to reader processes.
 
     Attach to a live primary *after* its catalog is registered (the
@@ -341,32 +280,20 @@ class ReplicaServer:
     ) -> None:
         self.state = state
         self.shared = _ReplicaState(state, catalog, tail_limit)
-        self._server = _ThreadingTCPServer((host, port), _ReplicaHandler)
-        self._server.replica_state = self.shared  # type: ignore[attr-defined]
-        self._server.idle_timeout = idle_timeout  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(
+            _ReplicaHandler,
+            host,
+            port,
+            idle_timeout=idle_timeout,
+            thread_name="replica-server",
+            replica_state=self.shared,
+        )
         state.subscribe(self.shared)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` for replicas to dial."""
-        return self._server.server_address[:2]
 
     @property
     def position(self) -> Tuple[int, int]:
         """The newest shippable ``(sequence, generation)``."""
         return self.shared.position()
-
-    def start(self) -> "ReplicaServer":
-        """Serve forever on a daemon thread; returns ``self`` for chaining."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="replica-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
 
     def close(self) -> None:
         """Detach from the primary and stop serving (idempotent).
@@ -376,18 +303,7 @@ class ReplicaServer:
         one, and the self-healing path owns the reconnect.
         """
         self.state.unsubscribe(self.shared)
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.close_all_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "ReplicaServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +319,7 @@ class SnapshotReplica:
     identity into a local :class:`~repro.optimizer.optimizer.SemanticQueryOptimizer`,
     regenerate extents -- and every :meth:`poll` applies the next delta
     batch as local epochs (one ``state.batch()`` per
-    :class:`~repro.database.wal.EpochRecord`, flushed incrementally by a
+    :class:`~repro.database.store.EpochRecord`, flushed incrementally by a
     local :class:`~repro.database.maintenance.MaintenanceQueue`).
     Serving happens strictly against the last fully applied epoch:
     :attr:`applied_generation` is the primary generation every answer is

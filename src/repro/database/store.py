@@ -24,12 +24,12 @@ Since PR 4 the store is **versioned and delta-logged**:
 
 * a monotonically increasing :attr:`DatabaseState.generation` counter bumps
   on every *effective* mutation (idempotent re-assertions are no-ops);
-* every mutation emits typed deltas (:class:`ObjectAdded`,
+* every mutation records a typed delta (:class:`ObjectAdded`,
   :class:`ObjectRemoved`, :class:`MembershipAsserted`,
   :class:`MembershipRetracted`, :class:`AttributeSet`,
-  :class:`AttributeRemoved`) to subscribed listeners -- the mutation log
-  that drives the incremental view-maintenance engine
-  (:mod:`repro.database.maintenance`);
+  :class:`AttributeRemoved`) -- the mutation log that drives the
+  incremental view-maintenance engine (:mod:`repro.database.maintenance`),
+  the write-ahead log and the replica stream;
 * reverse indexes (object -> classes, object -> attribute pairs,
   ``(subject, attribute)`` -> values) make :meth:`remove_object`,
   :meth:`attribute_values` and :meth:`neighbours` proportional to the
@@ -41,9 +41,13 @@ Since PR 4 the store is **versioned and delta-logged**:
   frozensets are reused, and the :class:`Interpretation` is rebuilt through
   the trusted fast path only when the generation moved.
 
-``with state.batch():`` opens a mutation epoch: deltas still reach the
-listeners immediately, but the commit notification (which the maintenance
-queue uses to flush) fires once, at the end of the outermost batch.
+``with state.batch():`` opens a mutation epoch.  The store is the one place
+an epoch is sealed: at the end of the outermost batch it builds a single
+:class:`EpochRecord` -- the commit sequence, the generation, the epoch's
+deltas in emission order and whether the schema was swapped -- and hands
+that same record to every subscribed listener's ``on_commit(record)``.
+Deltas never reach listeners during the batch, and a commit with no
+listener attached builds no record at all.
 
 Since PR 7 the store is also the **commit scheduler's serialization
 point**: a reentrant write lock serializes concurrent writer threads for
@@ -79,6 +83,7 @@ __all__ = [
     "MembershipRetracted",
     "AttributeSet",
     "AttributeRemoved",
+    "EpochRecord",
 ]
 
 
@@ -157,6 +162,23 @@ class AttributeRemoved(Delta):
     value: str
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """One committed epoch: what every listener receives and the WAL persists.
+
+    ``sequence`` is the store-assigned commit sequence, ``generation`` the
+    committing state's generation after the epoch (process-local, so
+    diagnostic only once persisted), ``deltas`` the epoch's typed deltas in
+    emission order, and ``schema_changed`` whether the epoch swapped the
+    schema -- a change no object-level delta describes.
+    """
+
+    sequence: int
+    generation: int
+    deltas: Tuple[Delta, ...]
+    schema_changed: bool = False
+
+
 class StateSnapshot:
     """An immutable, generation-pinned read view of a :class:`DatabaseState`.
 
@@ -172,7 +194,7 @@ class StateSnapshot:
     maintenance tier (:class:`repro.database.maintenance.AsyncMaintainer`).
 
     Snapshots are **picklable** (custom ``__getstate__``/``__setstate__``
-    over the slots, dropping the lazily built indexes): the durable
+    over the slots, dropping the lazily built index): the durable
     tier's checkpoint files (:mod:`repro.database.wal`) are pickled
     snapshots.  To make a checkpoint lossless the snapshot also pins the
     *explicit* membership assertions (:attr:`explicit`) -- the upward-closed
@@ -190,7 +212,6 @@ class StateSnapshot:
         "_interpretation",
         "_concepts",
         "_attributes",
-        "_pairs_index",
         "_adjacency",
     )
 
@@ -216,13 +237,12 @@ class StateSnapshot:
             # still describe the last non-empty generation.
             self._concepts = {}
             self._attributes = {}
-        self._pairs_index: Optional[Dict[str, Tuple[Tuple[str, str, str], ...]]] = None
         self._adjacency: Dict[Tuple[str, bool], Dict[str, List[str]]] = {}
 
     def __getstate__(self):
-        # Slots class: pickle every slot except the lazily built indexes
-        # (cheap to rebuild, and keeping them out makes checkpoint payloads
-        # independent of whether a flush walked the snapshot).
+        # Slots class: pickle every slot except the lazily built adjacency
+        # index (cheap to rebuild, and keeping it out makes checkpoint
+        # payloads independent of whether a flush walked the snapshot).
         return {
             "generation": self.generation,
             "schema": self.schema,
@@ -236,7 +256,6 @@ class StateSnapshot:
     def __setstate__(self, payload) -> None:
         for slot, value in payload.items():
             object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_pairs_index", None)
         object.__setattr__(self, "_adjacency", {})
 
     def to_interpretation(self, constants: Optional[Iterable[str]] = None) -> Interpretation:
@@ -297,23 +316,6 @@ class StateSnapshot:
             self._adjacency[key] = index
         return index.get(object_id, ())
 
-    def object_pairs(self, object_id: str) -> Tuple[Tuple[str, str, str], ...]:
-        """The ``(attribute, subject, value)`` triples touching one object.
-
-        Backed by an index built lazily from the pinned attribute
-        extensions (one O(total pairs) pass on first use).
-        """
-        if self._pairs_index is None:
-            index: Dict[str, List[Tuple[str, str, str]]] = {}
-            for attribute, pairs in self._attributes.items():
-                for subject, value in pairs:
-                    triple = (attribute, subject, value)
-                    index.setdefault(subject, []).append(triple)
-                    if value != subject:
-                        index.setdefault(value, []).append(triple)
-            self._pairs_index = {key: tuple(triples) for key, triples in index.items()}
-        return self._pairs_index.get(object_id, ())
-
 
 class DatabaseState:
     """A mutable, in-memory object base.
@@ -344,6 +346,10 @@ class DatabaseState:
         self._listeners: List[object] = []
         self._batch_depth = 0
         self._commit_pending = False
+        # The open epoch's deltas (collected only while a listener is
+        # subscribed) and whether it swapped the schema.
+        self._epoch_deltas: List[Delta] = []
+        self._epoch_schema_changed = False
 
         # Commit scheduling: writer threads serialize on the write lock
         # for the whole batch; the store assigns the epoch sequence at
@@ -395,12 +401,9 @@ class DatabaseState:
             # A schema swap changes extents without any object-level delta;
             # listeners that memoize the hierarchy (the maintenance queue)
             # must invalidate and re-materialize, so it commits like any
-            # other mutation after an explicit schema-change notification.
+            # other mutation, flagged in the epoch record.
             self._commit_pending = True
-            for listener in list(self._listeners):
-                hook = getattr(listener, "on_schema_changed", None)
-                if hook is not None:
-                    hook()
+            self._epoch_schema_changed = True
 
     def _superclasses(self, class_name: str) -> FrozenSet[str]:
         cached = self._supers_memo.get(class_name)
@@ -414,9 +417,11 @@ class DatabaseState:
     def subscribe(self, listener) -> None:
         """Attach a mutation-log listener.
 
-        Listeners receive ``on_delta(delta)`` for every emitted
-        :class:`Delta` and ``on_commit()`` once per outermost mutation (or
-        once per :meth:`batch` epoch).
+        Listeners receive ``on_commit(record)`` once per committed epoch
+        (one outermost mutation, or one :meth:`batch`): every listener gets
+        the same :class:`EpochRecord`.  A listener subscribed mid-batch
+        sees only the deltas recorded after it joined; one unsubscribed
+        mid-batch receives nothing for that epoch.
         """
         if listener not in self._listeners:
             self._listeners.append(listener)
@@ -437,9 +442,8 @@ class DatabaseState:
 
         Bumps exactly once per committed epoch that emitted at least one
         delta (or swapped the schema), *before* the ``on_commit``
-        listeners run -- so a durable maintainer reads the number of the
-        epoch it is persisting, and concurrent writers (serialized by the
-        write lock) can never race it.
+        listeners run -- so the epoch record carries it, and concurrent
+        writers (serialized by the write lock) can never race it.
         """
         return self._commit_sequence
 
@@ -481,13 +485,16 @@ class DatabaseState:
 
     @contextmanager
     def batch(self):
-        """Open a mutation epoch: listeners see one commit at the end.
+        """Open a mutation epoch: listeners see one record at the end.
 
-        Batches nest; only the outermost exit fires the commit notification.
-        Every public mutator runs inside an implicit batch, so a lone
+        Batches nest; only the outermost exit seals the epoch into an
+        :class:`EpochRecord` and hands it to every listener.  Every public
+        mutator runs inside an implicit batch, so a lone
         ``state.set_attribute(...)`` commits immediately while
         ``with state.batch(): ...`` coalesces an arbitrary interleaving of
-        mutations into one maintenance flush.
+        mutations into one maintenance flush.  The record is built only
+        when a listener is subscribed: bulk loads with nothing attached pay
+        for no epoch bookkeeping.
 
         Concurrent writer threads serialize here: the (reentrant) write
         lock is held for the whole batch, including the commit
@@ -513,17 +520,21 @@ class DatabaseState:
                 if self._batch_depth == 0 and self._commit_pending:
                     self._commit_pending = False
                     self._commit_sequence += 1
-                    for listener in list(self._listeners):
-                        on_commit = getattr(listener, "on_commit", None)
-                        if on_commit is not None:
-                            on_commit()
+                    deltas, self._epoch_deltas = self._epoch_deltas, []
+                    schema_changed, self._epoch_schema_changed = self._epoch_schema_changed, False
+                    if self._listeners:
+                        record = EpochRecord(
+                            self._commit_sequence, self.generation, tuple(deltas), schema_changed
+                        )
+                        for listener in list(self._listeners):
+                            listener.on_commit(record)
             finally:
                 self._write_lock.release()
 
     def _emit(self, delta: Delta) -> None:
         self._commit_pending = True
-        for listener in list(self._listeners):
-            listener.on_delta(delta)
+        if self._listeners:
+            self._epoch_deltas.append(delta)
 
     def _touch_generation(self) -> None:
         self.generation += 1

@@ -1,12 +1,10 @@
 """A durable, append-only, segmented write-ahead log for maintenance epochs.
 
-PR 5's :class:`~repro.database.maintenance.AsyncMaintainer` made view
-maintenance crash-safe *in memory*: typed-delta epochs survive a worker
-``kill()`` and replay converges to the sync tier -- but everything dies with
-the process.  This module is the storage engine underneath the durable tier
-(:class:`~repro.database.maintenance.DurableMaintainer`): every committed
-epoch is appended to an on-disk log *before* it is enqueued for flushing,
-so a fresh process can rebuild the state and every view extent from disk.
+This module is the storage engine underneath the durable tier
+(:class:`~repro.database.maintenance.DurableMaintainer`) and the system's
+only crash recovery: every committed epoch is appended to an on-disk log
+*before* it is enqueued for flushing, so a fresh process can rebuild the
+state and every view extent from disk.
 
 File format
 -----------
@@ -16,7 +14,8 @@ A log is a directory:
 * ``epochs-<8 digits>.seg`` -- segment files holding a sequence of
   **frames**.  A frame is ``<u32 length><u32 crc32(payload)><payload>``
   (little-endian header), where the payload is a pickled
-  :class:`EpochRecord`.  Segments roll over at :attr:`segment_bytes`;
+  :class:`~repro.database.store.EpochRecord` -- the record the store
+  seals at commit.  Segments roll over at :attr:`segment_bytes`;
   record sequences increase strictly across the whole directory.
 * ``checkpoint-<12 digits>.ckpt`` -- one frame whose payload is a pickled
   :class:`CheckpointPayload`: the epoch sequence it covers, a full
@@ -92,7 +91,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .store import Delta, StateSnapshot
+# EpochRecord lives in store.py since the store seals each epoch; importing
+# it here keeps logs that pickled it as repro.database.wal.EpochRecord
+# readable.
+from .store import EpochRecord, StateSnapshot
 
 __all__ = [
     "CheckpointPayload",
@@ -104,6 +106,7 @@ __all__ = [
     "WriteAheadLog",
     "catalog_identity",
     "is_retryable_io_error",
+    "require_catalog_identity",
 ]
 
 _HEADER = struct.Struct("<II")
@@ -157,23 +160,6 @@ def is_retryable_io_error(error: BaseException) -> bool:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    """One committed epoch as persisted in the log.
-
-    ``deltas`` are the typed :class:`~repro.database.store.Delta` records of
-    the epoch in emission order; ``generation`` is the committing state's
-    generation after the epoch (diagnostic only -- generations are
-    process-local); ``schema_changed`` mirrors the in-memory
-    ``MaintenanceEpoch`` flag.
-    """
-
-    sequence: int
-    generation: int
-    deltas: Tuple[Delta, ...]
-    schema_changed: bool = False
-
-
-@dataclass(frozen=True)
 class CheckpointPayload:
     """A durable cut: everything up to ``sequence`` baked into one snapshot."""
 
@@ -193,6 +179,34 @@ def catalog_identity(catalog) -> Tuple[Tuple[str, object], ...]:
     return tuple(
         (view.name, normalize_concept(view.concept)) for view in catalog
     )
+
+
+def require_catalog_identity(recorded, catalog) -> None:
+    """Raise :class:`WalError` unless ``recorded`` identity matches ``catalog``.
+
+    Order-insensitive; the error names the missing, added and changed
+    views.  Compared by structural equality of the normalized concepts,
+    not by intern id: the recorded side crossed a pickle boundary and equal
+    ids are only guaranteed for ids issued while the intern tables are live
+    (after ``clear_intern_tables`` an old canonical instance embedded in
+    one side can split otherwise-equal structures onto distinct ids).
+    """
+    from ..concepts.normalize import normalize_concept
+
+    current = dict(catalog_identity(catalog))
+    loaded = {name: normalize_concept(concept) for name, concept in recorded}
+    if current != loaded:
+        missing = sorted(set(loaded) - set(current))
+        added = sorted(set(current) - set(loaded))
+        changed = sorted(
+            name for name in set(current) & set(loaded) if current[name] != loaded[name]
+        )
+        raise WalError(
+            "checkpoint catalog identity does not match the supplied catalog "
+            f"(missing={missing}, added={added}, changed={changed}); recover "
+            "with the catalog the log was written under, or pass "
+            "strict_catalog=False to rebuild extents for the new catalog"
+        )
 
 
 @dataclass

@@ -80,13 +80,13 @@ def extension(concept, source):
 
 
 class _Recorder:
-    """A mutation-log listener collecting one epoch's deltas."""
+    """A mutation-log listener collecting the deltas of the records it receives."""
 
     def __init__(self):
         self.deltas = []
 
-    def on_delta(self, delta):
-        self.deltas.append(delta)
+    def on_commit(self, record):
+        self.deltas.extend(record.deltas)
 
 
 def run_epoch(state, epoch) -> EpochChanges:

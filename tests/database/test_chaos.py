@@ -34,6 +34,7 @@ from repro.database.maintenance import DurableMaintainer
 from repro.database.query_eval import QueryEvaluator
 from repro.database.replica import ReplicaServer, SnapshotReplica
 from repro.database.store import DatabaseState
+from repro.database.wal import WalError
 from repro.optimizer.optimizer import SemanticQueryOptimizer
 from repro.workloads.driver import (
     apply_update,
@@ -409,6 +410,19 @@ class TestFailover:
         finally:
             promotion.close()
             maintainer.close()
+
+    def test_promote_rejects_a_mismatched_catalog(self):
+        tmp = tempfile.mkdtemp()
+        optimizer, state, _, maintainer = durable_primary(tmp)
+        with ReplicaServer(state, optimizer.catalog) as server:
+            replica = SnapshotReplica(server.address).connect()
+        maintainer.checkpoint()
+        maintainer.close()
+        dropped = sorted(replica.optimizer.catalog.names())[0]
+        replica.optimizer.catalog.unregister(dropped)
+        with pytest.raises(WalError, match=f"missing=\\['{dropped}'\\]"):
+            FailoverCoordinator().promote(replica, tmp)
+        FailoverCoordinator().promote(replica, tmp, strict_catalog=False).close()
 
     def test_promote_requires_a_connected_replica(self):
         with pytest.raises(ValueError):

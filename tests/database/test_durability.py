@@ -20,9 +20,12 @@ Three layers of checking:
   fresh process (``tests/database/durable_writer.py``), closing the loop
   on actual cross-process durability.
 
-Satellites checked here too: checkpoint-driven truncation of the
-in-memory epoch log (:meth:`AsyncMaintainer.truncate_covered_epochs`)
-and the :class:`~repro.database.store.StateSnapshot` pickle round-trip,
+The WAL is the system's only crash recovery, so the oracle also covers a
+dead flush worker: its commits raise but still reach the log, and
+:meth:`DurableMaintainer.open` recovers them.  Satellites checked here too:
+logs that pickled ``EpochRecord`` under its old ``repro.database.wal``
+class path still recover, and the
+:class:`~repro.database.store.StateSnapshot` pickle round-trip holds,
 including interned-concept stability in a fresh process.
 """
 
@@ -39,10 +42,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database.commit import DurabilityError, FaultPolicy
-from repro.database.maintenance import AsyncMaintainer, DurableMaintainer
+from repro.database.maintenance import DurableMaintainer
 from repro.database.query_eval import QueryEvaluator
-from repro.database.store import DatabaseState
-from repro.database.wal import EpochRecord, WalError, WriteAheadLog
+from repro.database.store import DatabaseState, EpochRecord, ObjectAdded
+from repro.database.wal import WalError, WriteAheadLog, _encode_frame
 from repro.workloads.synthetic import SchemaProfile, random_schema
 
 from ..strategies import (
@@ -205,75 +208,32 @@ class TestWalMechanics:
         assert [epoch.sequence for epoch in found.epochs] == list(range(1, 30))
         assert found.segments_scanned > 1
 
-
-# ---------------------------------------------------------------------------
-# Satellite: checkpoint-driven truncation of the in-memory epoch log
-# ---------------------------------------------------------------------------
-
-
-class TestEpochLogTruncation:
-    def test_live_worker_log_is_never_pruned(self):
-        state = seed_state()
-        catalog = build_catalog()
-        catalog.refresh_all(state)
-        maintainer = AsyncMaintainer(state, catalog)
+    def test_frames_naming_the_old_wal_class_path_still_recover(self, tmp_path, monkeypatch):
+        # EpochRecord used to live in wal.py, so older logs pickle it as
+        # repro.database.wal.EpochRecord; wal.py still exports that name.
+        with monkeypatch.context() as patch:
+            patch.setattr(EpochRecord, "__module__", "repro.database.wal")
+            payloads = [
+                pickle.dumps(
+                    EpochRecord(sequence, sequence, (ObjectAdded(f"x{sequence}"),)),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+                for sequence in (1, 2)
+            ]
+        assert all(b"repro.database.wal" in payload for payload in payloads)
+        log = tmp_path / "log"
+        log.mkdir()
+        segment = b"".join(_encode_frame(payload) for payload in payloads)
+        (log / "epochs-00000001.seg").write_bytes(segment)
+        found = WriteAheadLog(str(log)).recover()
+        assert [epoch.sequence for epoch in found.epochs] == [1, 2]
+        assert found.dropped_bytes == 0
+        recovered = DurableMaintainer.open(str(log), SCHEMA, build_catalog())
         try:
-            maintainer.pause()
-            state.assert_membership("o2", CLASSES[0])
-            state.assert_membership("o3", CLASSES[0])
-            before = maintainer.unflushed_epochs()
-            assert len(before) == 2
-            # Claiming full coverage must not touch a live worker's queue.
-            assert maintainer.truncate_covered_epochs(10**9) == 0
-            assert maintainer.unflushed_epochs() == before
-            maintainer.resume()
-            maintainer.drain()
+            assert recovered.state.objects == {"x1", "x2"}
+            assert recovered.recovery_report.recovered_sequence == 2
         finally:
-            maintainer.close()
-        assert stored_extents(catalog) == oracle_extents(catalog, state)
-
-    def test_dead_worker_log_is_bounded_by_coverage(self):
-        state = seed_state()
-        catalog = build_catalog()
-        catalog.refresh_all(state)
-        maintainer = AsyncMaintainer(state, catalog)
-        maintainer.kill()
-        state.subscribe(maintainer)  # keep absorbing commits after the kill
-        for index in range(6):
-            with pytest.raises(RuntimeError):
-                state.assert_membership(f"k{index}", CLASSES[0])
-        assert maintainer.pending_epochs == 6
-        sequences = [epoch.sequence for epoch in maintainer.unflushed_epochs()]
-        pruned = maintainer.truncate_covered_epochs(sequences[2])
-        assert pruned == 3
-        kept = [epoch.sequence for epoch in maintainer.unflushed_epochs()]
-        assert kept == sequences[3:]
-        state.unsubscribe(maintainer)
-
-    def test_durable_checkpoint_truncates_and_recover_regenerates(self):
-        fs = FaultyFileSystem()
-        state = seed_state()
-        catalog = build_catalog()
-        maintainer = DurableMaintainer(
-            state, catalog, path=LOG_DIR, fs=fs, checkpoint_every=None, bootstrap=True
-        )
-        try:
-            maintainer.kill()  # dead worker: epochs pile up in memory
-            state.subscribe(maintainer)
-            for index in range(5):
-                with pytest.raises(RuntimeError):
-                    state.assert_membership(f"t{index}", CLASSES[0])
-            assert maintainer.pending_epochs == 5
-            maintainer.checkpoint()
-            # The checkpoint covers every commit: the in-memory log drains.
-            assert maintainer.pending_epochs == 0
-            # recover() must regenerate from the live state (the pruned log
-            # can no longer replay those epochs).
-            maintainer.recover()
-            assert stored_extents(catalog) == oracle_extents(catalog, state)
-        finally:
-            state.unsubscribe(maintainer)
-            maintainer.kill()
+            recovered.kill()
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +386,40 @@ class TestCrashRecoveryOracle:
             assert stored_extents(third_catalog) == oracle_extents(third_catalog, final)
         finally:
             third.kill()
+
+    def test_dead_worker_commits_reach_the_wal_and_recover(self):
+        fs = FaultyFileSystem()
+        state = seed_state()
+        catalog = build_catalog()
+        maintainer = DurableMaintainer(
+            state, catalog, path=LOG_DIR, fs=fs, checkpoint_every=None, bootstrap=True
+        )
+        try:
+            maintainer.kill()  # the flush worker dies...
+            state.subscribe(maintainer)  # ...while the commit path stays attached
+            before = state.commit_sequence
+            for index in range(5):
+                with pytest.raises(RuntimeError):
+                    state.assert_membership(f"t{index}", CLASSES[0])
+            # Every commit raised without queuing, yet reached the WAL.
+            assert maintainer.pending_epochs == 0
+            assert maintainer.wal.appended_sequence == state.commit_sequence == before + 5
+            # The sequence advanced through the raises: the checkpoint covers them.
+            assert maintainer.checkpoint().sequence == state.commit_sequence
+            live = state.snapshot()
+        finally:
+            state.unsubscribe(maintainer)
+            maintainer.kill()
+        fs.crash()
+
+        recovered_catalog = build_catalog()
+        recovered = open_recovered(fs, recovered_catalog)
+        try:
+            assert recovered.recovery_report.recovered_sequence == state.commit_sequence
+            assert surface(recovered.state.snapshot()) == surface(live)
+            assert stored_extents(recovered_catalog) == oracle_extents(recovered_catalog, live)
+        finally:
+            recovered.kill()
 
     def test_transient_fsync_fault_is_retried_and_the_commit_stays_durable(self):
         fs = FaultyFileSystem()

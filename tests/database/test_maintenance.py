@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concepts import builders as b
+from repro.concepts.schema import Schema
 from repro.concepts.syntax import Singleton, Top
 from repro.core.checker import SubsumptionChecker
 from repro.database.maintenance import (
@@ -70,6 +71,16 @@ def seed_state() -> DatabaseState:
     state.add_object("o1", CLASSES[-1])
     state.set_attribute("o0", ATTRIBUTES[0], "o1")
     return state
+
+
+class _Recorder:
+    """A mutation-log listener keeping every epoch record it receives."""
+
+    def __init__(self):
+        self.records = []
+
+    def on_commit(self, record):
+        self.records.append(record)
 
 
 def assert_extents_match_oracle(catalog: ViewCatalog, state: DatabaseState) -> None:
@@ -208,36 +219,64 @@ class TestVersionedStore:
 
     def test_mutation_log_emits_typed_deltas(self):
         state = DatabaseState(SCHEMA)
-
-        class Recorder:
-            def __init__(self):
-                self.deltas = []
-                self.commits = 0
-
-            def on_delta(self, delta):
-                self.deltas.append(delta)
-
-            def on_commit(self):
-                self.commits += 1
-
-        recorder = Recorder()
+        recorder = _Recorder()
         state.subscribe(recorder)
         with state.batch():
             state.add_object("a", CLASSES[0])
             state.set_attribute("a", ATTRIBUTES[0], "b")
-        assert recorder.commits == 1
-        kinds = [type(delta).__name__ for delta in recorder.deltas]
+        (record,) = recorder.records
+        kinds = [type(delta).__name__ for delta in record.deltas]
         assert kinds == [
             "ObjectAdded",
             "MembershipAsserted",
             "ObjectAdded",
             "AttributeSet",
         ]
-        assert MembershipAsserted("a", CLASSES[0]) in recorder.deltas
-        assert AttributeSet("a", ATTRIBUTES[0], "b") in recorder.deltas
+        assert MembershipAsserted("a", CLASSES[0]) in record.deltas
+        assert AttributeSet("a", ATTRIBUTES[0], "b") in record.deltas
         state.unsubscribe(recorder)
         state.set_attribute("a", ATTRIBUTES[1], "b")
-        assert recorder.commits == 1  # detached listeners stay silent
+        assert len(recorder.records) == 1  # detached listeners stay silent
+
+    def test_each_commit_seals_one_record_for_every_listener(self):
+        state = DatabaseState(SCHEMA)
+        first, second = _Recorder(), _Recorder()
+        state.subscribe(first)
+        state.subscribe(second)
+        with state.batch():
+            state.add_object("a", CLASSES[0])
+            with state.batch():
+                state.set_attribute("a", ATTRIBUTES[0], "b")
+            assert not first.records  # nothing reaches listeners mid-batch
+        # Nested batches seal one record, and every listener gets that record.
+        (record,) = first.records
+        assert len(second.records) == 1 and second.records[0] is record
+        assert record.sequence == state.commit_sequence
+        assert record.generation == state.generation
+        assert not record.schema_changed
+
+        # A batch that changes nothing delivers nothing and commits nothing.
+        sequence = state.commit_sequence
+        with state.batch():
+            state.add_object("a")
+            state.retract_membership("a", CLASSES[1])
+        assert state.commit_sequence == sequence
+        assert len(first.records) == len(second.records) == 1
+
+        # A schema swap is flagged on its record.
+        state.schema = Schema.empty()
+        swap = first.records[-1]
+        assert swap.schema_changed and swap.deltas == ()
+        assert swap.sequence == sequence + 1 == state.commit_sequence
+        assert second.records[-1] is swap
+
+        # A listener unsubscribed mid-batch receives nothing for that epoch.
+        with state.batch():
+            state.assert_membership("a", CLASSES[1])
+            state.unsubscribe(second)
+        assert first.records[-1].deltas == (MembershipAsserted("a", CLASSES[1]),)
+        assert len(first.records) == 3
+        assert len(second.records) == 2
 
 
 class TestRelevanceIndex:
@@ -360,10 +399,7 @@ class TestMaintenanceQueue:
         # Swap in a schema without the Patient ⊑ Person edge: the upward
         # closure changes with no object-level delta, so the queue must
         # re-materialize everything on commit.
-        from repro.concepts.schema import Schema
-
         state.schema = Schema.empty()
-        assert not queue.pending
         assert view.stored_extent == frozenset()
         state.schema = medical_schema()
         assert view.stored_extent == {"p"}
@@ -372,20 +408,6 @@ class TestMaintenanceQueue:
         state.add_object("q", "Patient")
         assert view.stored_extent == {"p", "q"}
         queue.close()
-
-    def test_close_flushes_pending_epoch(self):
-        state = seed_state()
-        catalog = build_catalog(lattice=True)
-        catalog.refresh_all(state)
-        queue = MaintenanceQueue(state, catalog)
-        batch = state.batch()
-        batch.__enter__()
-        state.assert_membership("o4", CLASSES[0])
-        assert queue.pending
-        queue.close()
-        assert not queue.pending
-        assert_extents_match_oracle(catalog, state)
-        batch.__exit__(None, None, None)
 
 
 class TestStalenessFixes:

@@ -9,6 +9,7 @@ from repro.workloads.driver import (
     run_async_maintenance_workload,
     run_batch_workload,
     run_commit_fleet_workload,
+    run_durable_maintenance_workload,
     run_maintenance_workload,
 )
 
@@ -74,6 +75,25 @@ class TestMaintenanceWorkloadDriver:
             report["epochs_coalesced"]
             == report["epochs_enqueued"] - report["flushes"]
         )
+
+    def test_durable_maintenance_workload_green(self, tmp_path):
+        report = run_durable_maintenance_workload(
+            "trading",
+            views=6,
+            updates=24,
+            batch_size=6,
+            window=2,
+            checkpoint_every=2,
+            seed=1,
+            log_dir=str(tmp_path),
+        )
+        assert report["durable_sequence_complete"]
+        assert report["durable_equal_volatile"]
+        assert report["recovered_equal_live"]
+        assert report["replay_recovered_equal_live"]
+        assert report["recovery_idempotent"]
+        # The checkpointed side replays a short tail, the other every epoch.
+        assert report["recovered_replayed_epochs"] < report["replay_replayed_epochs"]
 
     def test_commit_fleet_workload_green(self):
         report = run_commit_fleet_workload(
