@@ -31,7 +31,7 @@ Usage::
 import os
 from statistics import median
 
-from repro.workloads.driver import run_durable_maintenance_workload
+from repro.workloads.driver import SCENARIOS, run_durable_maintenance_workload
 
 try:
     from .helpers import print_table, write_trajectory
@@ -45,13 +45,7 @@ CHECKPOINT_EVERY = 6
 BATCHED_SYNC = 8
 WORKLOADS = ("university", "trading", "synthetic")
 
-_VERDICTS = (
-    "durable_sequence_complete",
-    "durable_equal_volatile",
-    "recovered_equal_live",
-    "replay_recovered_equal_live",
-    "recovery_idempotent",
-)
+_VERDICTS = SCENARIOS["maintain-durable"].verdicts
 
 
 def _checked_run(workload, size, sync_every, updates, batch_size, seed):
@@ -139,9 +133,8 @@ def test_e13_durable_commit_and_recovery(benchmark):
             "university", views=12, updates=24, batch_size=8, checkpoint_every=2
         )
     )
-    assert report["durable_equal_volatile"]
-    assert report["recovered_equal_live"]
-    assert report["recovery_idempotent"]
+    for verdict in _VERDICTS:
+        assert report[verdict], verdict
 
 
 # -- full experiment series ---------------------------------------------------

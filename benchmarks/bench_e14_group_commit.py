@@ -47,7 +47,7 @@ import time
 from statistics import median
 
 from repro.database.wal import OsFileSystem
-from repro.workloads.driver import run_commit_fleet_workload
+from repro.workloads.driver import SCENARIOS, run_commit_fleet_workload
 
 try:
     from .helpers import print_table, write_trajectory
@@ -63,14 +63,7 @@ GROUP_SYNC = 8
 FSYNC_SECONDS = 0.002
 WORKLOADS = ("university", "trading")
 
-_VERDICTS = (
-    "acks_complete",
-    "no_acked_lost",
-    "recovered_equal_live",
-    "reader_generations_monotonic",
-    "readers_serving_sound",
-    "extents_equal",
-)
+_VERDICTS = SCENARIOS["commit-fleet"].verdicts
 
 
 class SlowFsyncFileSystem(OsFileSystem):
@@ -176,9 +169,8 @@ def test_e14_group_commit_fleet(benchmark):
             fs=SlowFsyncFileSystem(),
         )
     )
-    assert report["acks_complete"]
-    assert report["no_acked_lost"]
-    assert report["recovered_equal_live"]
+    for verdict in _VERDICTS:
+        assert report[verdict], verdict
 
 
 # -- full experiment series ---------------------------------------------------

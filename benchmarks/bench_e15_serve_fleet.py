@@ -43,7 +43,7 @@ Usage::
 import os
 from statistics import median
 
-from repro.workloads.driver import run_serve_fleet_workload
+from repro.workloads.driver import SCENARIOS, run_serve_fleet_workload
 
 try:
     from .helpers import print_table, write_trajectory
@@ -58,12 +58,7 @@ UPDATES = 8
 STALENESS_BOUND = 8
 WORKLOADS = ("university", "trading")
 
-_VERDICTS = (
-    "answers_match_spec",
-    "staleness_bound_honored",
-    "cache_hits_observed",
-    "no_child_errors",
-)
+_VERDICTS = SCENARIOS["serve-fleet"].verdicts
 
 
 def _checked_fleet(workload, seed, *, shared_cache):
@@ -146,10 +141,8 @@ def test_e15_serve_fleet(benchmark):
             updates=8,
         )
     )
-    assert report["answers_match_spec"]
-    assert report["staleness_bound_honored"]
-    assert report["cache_hits_observed"]
-    assert report["no_child_errors"]
+    for verdict in _VERDICTS:
+        assert report[verdict], verdict
 
 
 # -- full experiment series ---------------------------------------------------

@@ -37,7 +37,7 @@ Usage::
 import os
 from statistics import median
 
-from repro.workloads.driver import run_serve_chaos_workload
+from repro.workloads.driver import SCENARIOS, run_serve_chaos_workload
 
 try:
     from .helpers import print_table, write_trajectory
@@ -54,12 +54,7 @@ OUTAGE_SECONDS = 0.4
 RECOVERY_CAP_SECONDS = 10.0
 WORKLOADS = ("university", "trading")
 
-_VERDICTS = (
-    "no_wrong_answers",
-    "available_through_outage",
-    "all_children_recovered",
-    "no_child_errors",
-)
+_VERDICTS = SCENARIOS["serve-chaos"].verdicts
 
 
 def _checked_chaos(workload, seed):
@@ -134,10 +129,8 @@ def test_e16_chaos(benchmark):
         iterations=1,
         rounds=1,
     )
-    assert report["no_wrong_answers"]
-    assert report["available_through_outage"]
-    assert report["all_children_recovered"]
-    assert report["no_child_errors"]
+    for verdict in _VERDICTS:
+        assert report[verdict], verdict
 
 
 # -- full experiment series ---------------------------------------------------

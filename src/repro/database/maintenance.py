@@ -933,9 +933,12 @@ class AsyncMaintainer(_MaintenanceEngine):
         would defeat it.  The commit blocks -- backpressure by design --
         until another thread calls :meth:`resume` (or :meth:`kill`).  A
         stopped or crashed worker can never flush, so the commit raises
-        without queuing; the sequence still advances, so a later durable
-        checkpoint covers the commit.
+        without queuing -- and without pinning a snapshot it would only
+        discard; the sequence still advances, so a later durable checkpoint
+        covers the commit.
         """
+        with self._lock:
+            self._refuse_if_dead(record)
         snapshot = self.state.snapshot()
         with self._lock:
             if (
@@ -957,9 +960,7 @@ class AsyncMaintainer(_MaintenanceEngine):
             # race the numbering and the durable tier persists the same
             # number it enqueues.
             self._sequence = record.sequence
-            self._raise_if_failed()
-            if self._stopped:
-                raise RuntimeError("AsyncMaintainer is stopped; the epoch was not queued")
+            self._refuse_if_dead(record)
             self._log.append((record, snapshot))
             self.statistics.epochs_enqueued += 1
             self._wake.notify_all()
@@ -1066,6 +1067,16 @@ class AsyncMaintainer(_MaintenanceEngine):
         if self._failure is not None:
             raise RuntimeError("async maintenance worker crashed") from self._failure
 
+    def _refuse_if_dead(self, record: EpochRecord) -> None:
+        """Raise, advancing the sequence, if no worker will ever flush ``record``.
+
+        Called with ``_lock`` held.
+        """
+        if self._stopped or self._failure is not None:
+            self._sequence = record.sequence
+            self._raise_if_failed()
+            raise RuntimeError("AsyncMaintainer is stopped; the epoch was not queued")
+
     @property
     def pending_epochs(self) -> int:
         """Number of committed epochs not yet flushed."""
@@ -1143,12 +1154,14 @@ class AsyncMaintainer(_MaintenanceEngine):
     def kill(self) -> None:
         """Stop the worker *without* flushing (crash simulation) and detach.
 
-        Queued epochs are never flushed; the stored extents stay at the
-        last published generation.  The state and catalog are unsubscribed
-        so the dead maintainer no longer observes mutations.
+        Queued epochs are never flushed, so they (and the snapshots pinned
+        with them) are dropped; the stored extents stay at the last
+        published generation.  The state and catalog are unsubscribed so
+        the dead maintainer no longer observes mutations.
         """
         with self._lock:
             self._stopped = True
+            self._log.clear()
             self._wake.notify_all()
             self._done.notify_all()
         if self._worker.is_alive() and threading.current_thread() is not self._worker:

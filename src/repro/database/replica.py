@@ -61,7 +61,7 @@ from .faults import (
 )
 from .net import TCPService
 from .store import DatabaseState, EpochRecord
-from .wal import _HEADER, _MAX_FRAME_BYTES, _encode_frame, catalog_identity
+from .wal import _HEADER, _encode_frame, catalog_identity
 
 __all__ = [
     "ReplicaConnectionError",
@@ -73,6 +73,12 @@ __all__ = [
 
 #: Bumped on any incompatible wire change; exchanged in the handshake.
 PROTOCOL_VERSION = "repro-replica/1"
+
+#: The largest frame payload a receiver accepts (docs/PROTOCOL.md section
+#: 2.1), checked before any payload byte is read: a peer on the replica port
+#: must not make a reader buffer more.  The WAL's on-disk frame bound is
+#: larger and applies to log files only.
+_MAX_WIRE_FRAME_BYTES = 64 << 20
 
 
 class ReplicaProtocolError(RuntimeError):
@@ -107,7 +113,7 @@ def _read_frame(rfile):
     """One CRC-checked frame off the stream (the WAL's frame format)."""
     header = _read_exact(rfile, _HEADER.size)
     length, crc = _HEADER.unpack(header)
-    if length > _MAX_FRAME_BYTES:
+    if length > _MAX_WIRE_FRAME_BYTES:
         raise ReplicaConnectionError(f"oversized frame ({length} bytes)")
     payload = _read_exact(rfile, length)
     if zlib.crc32(payload) != crc:

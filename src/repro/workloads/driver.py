@@ -20,6 +20,10 @@ The E10 benchmark and ``tests/workloads/test_driver.py`` both go through
 :func:`run_batch_workload`; it can also be run directly::
 
     python -m repro.workloads.driver --workload trading --views 64 --shards 4
+
+Every scenario is declared once, in :data:`SCENARIOS`: its runner, the
+command-line options :func:`main` forwards to it, and the verdicts that must
+all hold for it to exit 0 (the benchmarks and tests read them from there).
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ import shutil
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
 from statistics import median
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.checker import clear_shared_decision_cache
 from ..database.maintenance import AsyncMaintainer, DurableMaintainer, MaintenanceQueue
@@ -65,6 +70,8 @@ __all__ = [
     "run_durable_maintenance_workload",
     "run_commit_fleet_workload",
     "run_serve_fleet_workload",
+    "run_serve_chaos_workload",
+    "SCENARIOS",
     "main",
 ]
 
@@ -99,10 +106,98 @@ def batch_workload_setup(workload: str, views: int, queries: int, seed: int = 0)
     catalog = generate_hierarchical_catalog(
         generator_schema, views, seed=seed + views * 31, base_concepts=bases
     )
-    stream = generate_matching_queries(
-        generator_schema, catalog, queries, seed=seed + views * 17
-    )
+    stream = generate_matching_queries(generator_schema, catalog, queries, seed=seed + views * 17)
     return optimizer_schema, state, catalog, stream
+
+
+# ---------------------------------------------------------------------------
+# Shared scenario helpers: setup, the epoch loop, oracles and report fields
+# ---------------------------------------------------------------------------
+
+
+def _workload_copies(workload: str, views: int, queries: int, seed: int, copies: int):
+    """(schema, generator schema, catalog items, stream, ``copies`` identical states).
+
+    Each state comes from its own :func:`batch_workload_setup` call, so the
+    sides a scenario compares start equal but share no store.  The
+    generator schema is the ``SL`` schema update streams are drawn over.
+    """
+    schema, state, catalog, stream = batch_workload_setup(workload, views, queries, seed)
+    states = [state]
+    for _ in range(copies - 1):
+        states.append(batch_workload_setup(workload, views, queries, seed)[1])
+    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
+    return schema, generator_schema, list(catalog.items()), stream, states
+
+
+def _register(schema, items, state: Optional[DatabaseState] = None, batched: bool = False):
+    """An optimizer with the catalog registered, materialized over ``state`` if given."""
+    optimizer = SemanticQueryOptimizer(schema, lattice=True)
+    if batched:
+        optimizer.register_views_batch(items)
+    else:
+        for name, concept in items:
+            optimizer.register_view_concept(name, concept)
+    if state is not None:
+        optimizer.catalog.refresh_all(state)
+    return optimizer
+
+
+def _commit_epochs(state: DatabaseState, epochs, serve=None, after=None):
+    """Commit each epoch as one ``state.batch()``; ``(latencies, serving sound)``.
+
+    A latency sample spans the commit -- including any maintenance it pays
+    inline -- and ``serve(index)``, the read the epoch's turnaround waits
+    for, which returns whether that read was sound.  ``after()`` runs once
+    per epoch outside the sample (bookkeeping the timing must not cover).
+    """
+    latencies: List[float] = []
+    sound = True
+    for index, epoch in enumerate(epochs):
+        t0 = time.perf_counter()
+        with state.batch():
+            for op in epoch:
+                apply_update(state, op)
+        if serve is not None:
+            sound &= serve(index)
+        latencies.append(time.perf_counter() - t0)
+        if after is not None:
+            after()
+    return latencies, sound
+
+
+def _from_scratch(optimizer, source) -> Dict[str, frozenset]:
+    """The oracle: every view re-materialized from scratch over ``source``."""
+    return {
+        view.name: optimizer.evaluator.concept_answers(view.concept, source)
+        for view in optimizer.catalog
+    }
+
+
+def _stored(optimizer) -> Dict[str, frozenset]:
+    return {view.name: view.stored_extent for view in optimizer.catalog}
+
+
+def _states_equal(live: DatabaseState, other) -> bool:
+    return live.objects == other.objects and all(
+        live.extent(name) == other.extent(name) for name in live.classes()
+    )
+
+
+def _ratio(numerator, denominator) -> Optional[float]:
+    return numerator / denominator if denominator else None
+
+
+def _p50_ms(samples: List[float]) -> Optional[float]:
+    return 1e3 * median(samples) if samples else None
+
+
+def _percentile_ms(samples: List[float], fraction: float) -> Optional[float]:
+    """The nearest-rank ``fraction`` percentile of ``samples`` (seconds) in milliseconds."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    return 1e3 * ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 def _plan_fingerprint(plan) -> Tuple:
@@ -149,8 +244,7 @@ def run_batch_workload(
     batch_register_seconds = time.perf_counter() - start
 
     catalog_equal = batched.catalog.names() == sequential.catalog.names() and all(
-        batched.catalog.lattice.parents_of(name)
-        == sequential.catalog.lattice.parents_of(name)
+        batched.catalog.lattice.parents_of(name) == sequential.catalog.lattice.parents_of(name)
         for name in batched.catalog.names()
     )
 
@@ -169,13 +263,9 @@ def run_batch_workload(
     if cold:
         batched.checker.clear_cache()
         clear_shared_decision_cache()
-    matcher = ShardedMatcher(
-        batched.checker, batched.catalog, shards=shards, backend=backend
-    )
+    matcher = ShardedMatcher(batched.checker, batched.catalog, shards=shards, backend=backend)
     start = time.perf_counter()
-    batch_matches = [
-        [view.name for view in views_] for views_ in matcher.match_batch(stream)
-    ]
+    batch_matches = [[view.name for view in views_] for views_ in matcher.match_batch(stream)]
     batch_match_seconds = time.perf_counter() - start
     matches_equal = batch_matches == sequential_matches
 
@@ -196,9 +286,7 @@ def run_batch_workload(
         sequential.catalog.refresh_all(state)
         batched.catalog.refresh_all(state)
         sequential_plans = [sequential.plan(query) for query in declared_queries]
-        outcomes = batched.answer_batch(
-            declared_queries, state, shards=shards, backend=backend
-        )
+        outcomes = batched.answer_batch(declared_queries, state, shards=shards, backend=backend)
         plans_equal = all(
             _plan_fingerprint(outcome.plan) == _plan_fingerprint(plan)
             for outcome, plan in zip(outcomes, sequential_plans)
@@ -217,18 +305,10 @@ def run_batch_workload(
         "backend": backend,
         "sequential_register_seconds": sequential_register_seconds,
         "batch_register_seconds": batch_register_seconds,
-        "register_speedup": (
-            sequential_register_seconds / batch_register_seconds
-            if batch_register_seconds
-            else None
-        ),
+        "register_speedup": _ratio(sequential_register_seconds, batch_register_seconds),
         "sequential_match_seconds": sequential_match_seconds,
         "batch_match_seconds": batch_match_seconds,
-        "match_speedup": (
-            sequential_match_seconds / batch_match_seconds
-            if batch_match_seconds
-            else None
-        ),
+        "match_speedup": _ratio(sequential_match_seconds, batch_match_seconds),
         "catalog_equal": catalog_equal,
         "matches_equal": matches_equal,
         "plans_equal": plans_equal,
@@ -334,11 +414,14 @@ def _serve_round(optimizer, concept, source, extents=None) -> bool:
     if not matches:
         return True
     best = matches[0]
-    candidates = (
-        best.stored_extent if extents is None else extents.get(best.name, frozenset())
-    )
+    candidates = best.stored_extent if extents is None else extents.get(best.name, frozenset())
     filtered = optimizer.evaluator.concept_answers(concept, source, candidates=candidates)
     return filtered == full
+
+
+def _stream_reader(optimizer, stream, source):
+    """``serve(index)`` for :func:`_commit_epochs`: the cycled stream query over ``source``."""
+    return lambda index: _serve_round(optimizer, stream[index % len(stream)], source)
 
 
 def run_maintenance_workload(
@@ -373,35 +456,22 @@ def run_maintenance_workload(
     streams whose membership changes affect objects only reachable through
     attribute chains.
     """
-    schema, naive_state, catalog_concepts, stream = batch_workload_setup(
-        workload, views, max(queries, 1), seed
+    schema, generator_schema, items, stream, states = _workload_copies(
+        workload, views, max(queries, 1), seed, 2
     )
-    _, engine_state, _, _ = batch_workload_setup(workload, views, max(queries, 1), seed)
-    items = list(catalog_concepts.items())
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
-    ops = generate_update_stream(
-        generator_schema, naive_state, updates, seed=seed + 101
-    )
+    naive_state, engine_state = states
+    ops = generate_update_stream(generator_schema, naive_state, updates, seed=seed + 101)
     epochs = [ops[i : i + batch_size] for i in range(0, len(ops), batch_size)]
 
     # Registration is setup, not what this scenario measures: clear the
     # process-wide caches once, then let the second catalog classify
-    # cache-hot (optionally through the PR 3 batch path for large catalogs).
+    # cache-hot (optionally through the batch registration path for large
+    # catalogs).
     clear_shared_decision_cache()
-
-    def build_side(side_state: DatabaseState) -> SemanticQueryOptimizer:
-        optimizer = SemanticQueryOptimizer(schema, lattice=True)
-        if batched_registration:
-            optimizer.register_views_batch(items)
-        else:
-            for name, concept in items:
-                optimizer.register_view_concept(name, concept)
-        optimizer.catalog.refresh_all(side_state)
-        return optimizer
-
-    naive = build_side(naive_state)
-    engine = build_side(engine_state)
+    naive = _register(schema, items, naive_state, batched_registration)
+    engine = _register(schema, items, engine_state, batched_registration)
     queue = MaintenanceQueue(engine_state, engine.catalog)
+    serving = serve and bool(stream)
 
     naive_serving_sound = True
     start = time.perf_counter()
@@ -413,43 +483,16 @@ def run_maintenance_workload(
             else:
                 for object_id in touched:
                     naive.catalog.notify_object_added(object_id, naive_state)
-        if serve and stream:
-            naive_serving_sound &= _serve_round(
-                naive, stream[index % len(stream)], naive_state
-            )
+        if serving:
+            naive_serving_sound &= _serve_round(naive, stream[index % len(stream)], naive_state)
     naive_seconds = time.perf_counter() - start
 
-    engine_serving_sound = True
     start = time.perf_counter()
-    for index, epoch in enumerate(epochs):
-        with engine_state.batch():
-            for op in epoch:
-                apply_update(engine_state, op)
-        if serve and stream:
-            engine_serving_sound &= _serve_round(
-                engine, stream[index % len(stream)], engine_state
-            )
+    _, engine_serving_sound = _commit_epochs(
+        engine_state, epochs, _stream_reader(engine, stream, engine_state) if serving else None
+    )
     engine_seconds = time.perf_counter() - start
 
-    # Oracle: every engine-maintained extent must equal a from-scratch
-    # re-materialization over the final state.
-    oracle_equal = all(
-        view.stored_extent
-        == engine.evaluator.concept_answers(view.concept, engine_state)
-        for view in engine.catalog
-    )
-    naive_equal = all(
-        view.stored_extent
-        == naive.evaluator.concept_answers(view.concept, naive_state)
-        for view in naive.catalog
-    )
-    states_equal = (
-        naive_state.objects == engine_state.objects
-        and all(
-            naive_state.extent(name) == engine_state.extent(name)
-            for name in naive_state.classes()
-        )
-    )
     stats = queue.statistics
     return {
         "workload": workload,
@@ -459,14 +502,14 @@ def run_maintenance_workload(
         "epochs": len(epochs),
         "naive_seconds": naive_seconds,
         "engine_seconds": engine_seconds,
-        "speedup": (naive_seconds / engine_seconds) if engine_seconds else None,
-        "naive_updates_per_second": len(ops) / naive_seconds if naive_seconds else None,
-        "engine_updates_per_second": (
-            len(ops) / engine_seconds if engine_seconds else None
-        ),
-        "extents_equal": oracle_equal,
-        "naive_extents_equal": naive_equal,
-        "states_equal": states_equal,
+        "speedup": _ratio(naive_seconds, engine_seconds),
+        "naive_updates_per_second": _ratio(len(ops), naive_seconds),
+        "engine_updates_per_second": _ratio(len(ops), engine_seconds),
+        # Oracle: every engine-maintained extent must equal a from-scratch
+        # re-materialization over the final state.
+        "extents_equal": _stored(engine) == _from_scratch(engine, engine_state),
+        "naive_extents_equal": _stored(naive) == _from_scratch(naive, naive_state),
+        "states_equal": _states_equal(naive_state, engine_state),
         "engine_serving_sound": engine_serving_sound,
         "naive_serving_sound": naive_serving_sound,
         "deltas_seen": stats.deltas_seen,
@@ -504,8 +547,8 @@ def run_async_maintenance_workload(
     epoch's mutations to the read being answered -- is sampled:
 
     * the **sync** side attaches a :class:`MaintenanceQueue`, so the commit
-      itself pays the flush before the read can run (the PR 4 serving
-      model: always fresh, read waits for maintenance);
+      itself pays the flush before the read can run (the synchronous
+      serving model: always fresh, read waits for maintenance);
     * the **async** side attaches an :class:`AsyncMaintainer` with a
       ``window``-epoch coalescing window, so the commit merely enqueues and
       the read is served immediately from the last *published* generation's
@@ -526,29 +569,16 @@ def run_async_maintenance_workload(
     * ``extents_equal`` / ``states_equal`` -- both equal the from-scratch
       oracle over the final state.
     """
-    schema, sync_state, catalog_concepts, stream = batch_workload_setup(
-        workload, views, max(queries, 1), seed
+    schema, generator_schema, items, stream, states = _workload_copies(
+        workload, views, max(queries, 1), seed, 2
     )
-    _, async_state, _, _ = batch_workload_setup(workload, views, max(queries, 1), seed)
-    items = list(catalog_concepts.items())
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
+    sync_state, async_state = states
     ops = generate_update_stream(generator_schema, sync_state, updates, seed=seed + 101)
     epochs = [ops[i : i + batch_size] for i in range(0, len(ops), batch_size)]
 
     clear_shared_decision_cache()
-
-    def build_side(side_state: DatabaseState) -> SemanticQueryOptimizer:
-        optimizer = SemanticQueryOptimizer(schema, lattice=True)
-        if batched_registration:
-            optimizer.register_views_batch(items)
-        else:
-            for name, concept in items:
-                optimizer.register_view_concept(name, concept)
-        optimizer.catalog.refresh_all(side_state)
-        return optimizer
-
-    sync_side = build_side(sync_state)
-    async_side = build_side(async_state)
+    sync_side = _register(schema, items, sync_state, batched_registration)
+    async_side = _register(schema, items, async_state, batched_registration)
     sync_queue = MaintenanceQueue(sync_state, sync_side.catalog)
     maintainer = AsyncMaintainer(async_state, async_side.catalog, window=window)
 
@@ -561,46 +591,34 @@ def run_async_maintenance_workload(
         async_side.subsuming_views_for_concept(concept)
 
     # -- sync side: the read pays the inline flush -------------------------
-    sync_latencies: List[float] = []
-    sync_serving_sound = True
     start = time.perf_counter()
-    for index, epoch in enumerate(epochs):
-        t0 = time.perf_counter()
-        with sync_state.batch():
-            for op in epoch:
-                apply_update(sync_state, op)
-        if stream:
-            sync_serving_sound &= _serve_round(
-                sync_side, stream[index % len(stream)], sync_state
-            )
-        sync_latencies.append(time.perf_counter() - t0)
+    sync_latencies, sync_serving_sound = _commit_epochs(
+        sync_state, epochs, _stream_reader(sync_side, stream, sync_state) if stream else None
+    )
     sync_seconds = time.perf_counter() - start
 
     # -- async side: the read is served from the published generation ------
-    async_latencies: List[float] = []
-    async_serving_sound = True
     observed_cuts: List[Tuple[int, Dict[str, frozenset]]] = []
     snapshots = {async_state.generation: async_state.snapshot()}
-    start = time.perf_counter()
-    for index, epoch in enumerate(epochs):
-        t0 = time.perf_counter()
-        with async_state.batch():
-            for op in epoch:
-                apply_update(async_state, op)
-        if stream:
-            concept = stream[index % len(stream)]
-            # One lock acquisition: the snapshot and the extents must
-            # describe the same published generation or the soundness
-            # check below would compare across a racing publish.
-            serving, extents = maintainer.serving_cut()
-            observed_cuts.append((serving.generation, extents))
-            async_serving_sound &= _serve_round(
-                async_side, concept, serving, extents
-            )
-        async_latencies.append(time.perf_counter() - t0)
+
+    def serve_published(index: int) -> bool:
+        concept = stream[index % len(stream)]
+        # One lock acquisition: the snapshot and the extents must
+        # describe the same published generation or the soundness
+        # check below would compare across a racing publish.
+        serving, extents = maintainer.serving_cut()
+        observed_cuts.append((serving.generation, extents))
+        return _serve_round(async_side, concept, serving, extents)
+
+    def pin_generation() -> None:
         # setdefault would construct the snapshot eagerly even on a hit.
         if async_state.generation not in snapshots:
             snapshots[async_state.generation] = async_state.snapshot()
+
+    start = time.perf_counter()
+    async_latencies, async_serving_sound = _commit_epochs(
+        async_state, epochs, serve_published if stream else None, pin_generation
+    )
     published_generation = maintainer.drain()
     async_seconds = time.perf_counter() - start
     stats = maintainer.statistics
@@ -608,12 +626,6 @@ def run_async_maintenance_workload(
     sync_queue.close()
 
     # -- verdicts ----------------------------------------------------------
-    def from_scratch(optimizer, source):
-        return {
-            view.name: optimizer.evaluator.concept_answers(view.concept, source)
-            for view in optimizer.catalog
-        }
-
     oracle_cache: Dict[int, Dict[str, frozenset]] = {}
     prefix_consistent = True
     for generation, extents in observed_cuts:
@@ -621,22 +633,8 @@ def run_async_maintenance_workload(
             prefix_consistent = False
             break
         if generation not in oracle_cache:
-            oracle_cache[generation] = from_scratch(async_side, snapshots[generation])
+            oracle_cache[generation] = _from_scratch(async_side, snapshots[generation])
         prefix_consistent &= extents == oracle_cache[generation]
-
-    drained_equal_sync = all(
-        async_side.catalog.get(name).stored_extent
-        == sync_side.catalog.get(name).stored_extent
-        for name in sync_side.catalog.names()
-    )
-    extents_equal = (
-        from_scratch(async_side, async_state)
-        == {view.name: view.stored_extent for view in async_side.catalog}
-    )
-    states_equal = sync_state.objects == async_state.objects and all(
-        sync_state.extent(name) == async_state.extent(name)
-        for name in sync_state.classes()
-    )
 
     return {
         "workload": workload,
@@ -647,22 +645,16 @@ def run_async_maintenance_workload(
         "epochs": len(epochs),
         "sync_seconds": sync_seconds,
         "async_seconds": async_seconds,
-        "sync_p50_latency_ms": 1e3 * median(sync_latencies) if sync_latencies else None,
-        "async_p50_latency_ms": (
-            1e3 * median(async_latencies) if async_latencies else None
-        ),
-        "latency_speedup": (
-            median(sync_latencies) / median(async_latencies)
-            if async_latencies and median(async_latencies)
-            else None
-        ),
+        "sync_p50_latency_ms": _p50_ms(sync_latencies),
+        "async_p50_latency_ms": _p50_ms(async_latencies),
+        "latency_speedup": _ratio(_p50_ms(sync_latencies), _p50_ms(async_latencies)),
         "published_generation": published_generation,
         "sync_serving_sound": sync_serving_sound,
         "async_serving_sound": async_serving_sound,
         "prefix_consistent": prefix_consistent,
-        "drained_equal_sync": drained_equal_sync,
-        "extents_equal": extents_equal,
-        "states_equal": states_equal,
+        "drained_equal_sync": _stored(async_side) == _stored(sync_side),
+        "extents_equal": _from_scratch(async_side, async_state) == _stored(async_side),
+        "states_equal": _states_equal(sync_state, async_state),
         "epochs_enqueued": stats.epochs_enqueued,
         "epochs_coalesced": stats.epochs_coalesced,
         "flushes": stats.flushes,
@@ -691,8 +683,8 @@ def run_durable_maintenance_workload(
 
     Three identical state/catalog sides process the same epoch stream:
 
-    * **volatile** -- a plain :class:`AsyncMaintainer` (the PR 5 tier), the
-      baseline commit cost;
+    * **volatile** -- a plain :class:`AsyncMaintainer` (the volatile async
+      tier), the baseline commit cost;
     * **durable** -- a :class:`DurableMaintainer` appending every epoch to
       a write-ahead log (fsync-batched per ``sync_every``) and
       checkpointing every ``checkpoint_every`` commits;
@@ -719,31 +711,13 @@ def run_durable_maintenance_workload(
     ``recovery_speedup`` (from-genesis replay seconds / checkpoint-based
     seconds -- what checkpoints buy at restart).
     """
-    schema, volatile_state, catalog_concepts, _ = batch_workload_setup(
-        workload, views, 1, seed
-    )
-    _, durable_state, _, _ = batch_workload_setup(workload, views, 1, seed)
-    _, replay_state, _, _ = batch_workload_setup(workload, views, 1, seed)
-    items = list(catalog_concepts.items())
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
-    ops = generate_update_stream(
-        generator_schema, volatile_state, updates, seed=seed + 211
-    )
+    schema, generator_schema, items, _, states = _workload_copies(workload, views, 1, seed, 3)
+    volatile_state, durable_state, replay_state = states
+    ops = generate_update_stream(generator_schema, volatile_state, updates, seed=seed + 211)
     epochs = [ops[i : i + batch_size] for i in range(0, len(ops), batch_size)]
 
     clear_shared_decision_cache()
-
-    def build_side(side_state: Optional[DatabaseState]) -> SemanticQueryOptimizer:
-        optimizer = SemanticQueryOptimizer(schema, lattice=True)
-        for name, concept in items:
-            optimizer.register_view_concept(name, concept)
-        if side_state is not None:
-            optimizer.catalog.refresh_all(side_state)
-        return optimizer
-
-    volatile_side = build_side(volatile_state)
-    durable_side = build_side(durable_state)
-    replay_side = build_side(replay_state)
+    volatile_side, durable_side, replay_side = [_register(schema, items, side) for side in states]
 
     root = log_dir or tempfile.mkdtemp(prefix="repro-wal-")
     cleanup = log_dir is None
@@ -772,20 +746,10 @@ def run_durable_maintenance_workload(
     durable.checkpoint()
     replay_writer.checkpoint()
 
-    def run_epochs(side_state: DatabaseState) -> List[float]:
-        latencies: List[float] = []
-        for epoch in epochs:
-            t0 = time.perf_counter()
-            with side_state.batch():
-                for op in epoch:
-                    apply_update(side_state, op)
-            latencies.append(time.perf_counter() - t0)
-        return latencies
-
     try:
-        volatile_latencies = run_epochs(volatile_state)
-        durable_latencies = run_epochs(durable_state)
-        replay_latencies = run_epochs(replay_state)
+        volatile_latencies, _ = _commit_epochs(volatile_state, epochs)
+        durable_latencies, _ = _commit_epochs(durable_state, epochs)
+        replay_latencies, _ = _commit_epochs(replay_state, epochs)
         volatile.drain()
         durable.drain()
         replay_writer.drain()
@@ -793,63 +757,36 @@ def run_durable_maintenance_workload(
         committed = durable.wal.appended_sequence
         durable.wal.sync()  # flush the last sync_every-batched tail
         durable_sequence_complete = durable.wal.durable_sequence == committed
-        durable_equal_volatile = all(
-            durable_side.catalog.get(name).stored_extent
-            == volatile_side.catalog.get(name).stored_extent
-            for name in volatile_side.catalog.names()
-        )
+        durable_equal_volatile = _stored(durable_side) == _stored(volatile_side)
         checkpoints_written = committed // checkpoint_every if checkpoint_every else 0
     finally:
         volatile.close()
         durable.close()
         replay_writer.close()
 
-    def states_match(recovered_state: DatabaseState, live: DatabaseState) -> bool:
-        return recovered_state.objects == live.objects and all(
-            recovered_state.extent(name) == live.extent(name)
-            for name in live.classes()
-        )
-
     def timed_recovery(path: str):
-        optimizer = build_side(None)
+        optimizer = _register(schema, items)
         t0 = time.perf_counter()
-        recovered = DurableMaintainer.open(
-            path,
-            generator_schema,
-            optimizer.catalog,
-            window=window,
-        )
+        recovered = DurableMaintainer.open(path, generator_schema, optimizer.catalog, window=window)
         seconds = time.perf_counter() - t0
         return recovered, optimizer, seconds
 
     try:
-        recovered, recovered_opt, checkpoint_recovery_seconds = timed_recovery(
-            checkpoint_dir
-        )
+        recovered, recovered_opt, checkpoint_recovery_seconds = timed_recovery(checkpoint_dir)
         recovered_report = recovered.recovery_report
-        recovered_equal_live = states_match(recovered.state, durable_state) and all(
-            recovered_opt.catalog.get(name).stored_extent
-            == durable_side.catalog.get(name).stored_extent
-            for name in durable_side.catalog.names()
+        recovered_equal_live = _states_equal(durable_state, recovered.state) and (
+            _stored(recovered_opt) == _stored(durable_side)
         )
         recovered.kill()
 
         again, again_opt, _ = timed_recovery(checkpoint_dir)
-        recovery_idempotent = all(
-            again_opt.catalog.get(name).stored_extent
-            == recovered_opt.catalog.get(name).stored_extent
-            for name in recovered_opt.catalog.names()
-        )
+        recovery_idempotent = _stored(again_opt) == _stored(recovered_opt)
         again.kill()
 
         replayed, replayed_opt, replay_recovery_seconds = timed_recovery(replay_dir)
         replay_report = replayed.recovery_report
-        replay_recovered_equal_live = states_match(
-            replayed.state, replay_state
-        ) and all(
-            replayed_opt.catalog.get(name).stored_extent
-            == replay_side.catalog.get(name).stored_extent
-            for name in replay_side.catalog.names()
+        replay_recovered_equal_live = _states_equal(replay_state, replayed.state) and (
+            _stored(replayed_opt) == _stored(replay_side)
         )
         replayed.kill()
     finally:
@@ -865,27 +802,13 @@ def run_durable_maintenance_workload(
         "window": window,
         "sync_every": sync_every,
         "checkpoint_every": checkpoint_every,
-        "volatile_p50_latency_ms": (
-            1e3 * median(volatile_latencies) if volatile_latencies else None
-        ),
-        "durable_p50_latency_ms": (
-            1e3 * median(durable_latencies) if durable_latencies else None
-        ),
-        "replay_p50_latency_ms": (
-            1e3 * median(replay_latencies) if replay_latencies else None
-        ),
-        "commit_overhead": (
-            median(durable_latencies) / median(volatile_latencies)
-            if volatile_latencies and median(volatile_latencies)
-            else None
-        ),
+        "volatile_p50_latency_ms": _p50_ms(volatile_latencies),
+        "durable_p50_latency_ms": _p50_ms(durable_latencies),
+        "replay_p50_latency_ms": _p50_ms(replay_latencies),
+        "commit_overhead": _ratio(_p50_ms(durable_latencies), _p50_ms(volatile_latencies)),
         "checkpoint_recovery_seconds": checkpoint_recovery_seconds,
         "replay_recovery_seconds": replay_recovery_seconds,
-        "recovery_speedup": (
-            replay_recovery_seconds / checkpoint_recovery_seconds
-            if checkpoint_recovery_seconds
-            else None
-        ),
+        "recovery_speedup": _ratio(replay_recovery_seconds, checkpoint_recovery_seconds),
         "checkpoints_written": checkpoints_written,
         "recovered_sequence": recovered_report.recovered_sequence,
         "recovered_checkpoint_sequence": recovered_report.checkpoint_sequence,
@@ -955,24 +878,13 @@ def run_commit_fleet_workload(
     ``ack_p50_ms``/``ack_p99_ms`` (commit-to-durable-ACK latency),
     ``wal_syncs`` and ``group_acks`` (how much batching one fsync bought).
     """
-    schema, state, catalog_concepts, stream = batch_workload_setup(
-        workload, views, max(queries, 1), seed
+    schema, generator_schema, items, stream, (state,) = _workload_copies(
+        workload, views, max(queries, 1), seed, 1
     )
-    items = list(catalog_concepts.items())
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
     classes = sorted(generator_schema.concept_names()) or ["K0"]
 
     clear_shared_decision_cache()
-
-    def build_side(side_state: Optional[DatabaseState]) -> SemanticQueryOptimizer:
-        optimizer = SemanticQueryOptimizer(schema, lattice=True)
-        for name, concept in items:
-            optimizer.register_view_concept(name, concept)
-        if side_state is not None:
-            optimizer.catalog.refresh_all(side_state)
-        return optimizer
-
-    side = build_side(state)
+    side = _register(schema, items, state)
     root = log_dir or (tempfile.mkdtemp(prefix="repro-fleet-") if durable else None)
     cleanup = durable and log_dir is None
     if durable:
@@ -1009,9 +921,7 @@ def run_commit_fleet_workload(
             try:
                 with state.batch():
                     state.add_object(obj)
-                    state.assert_membership(
-                        obj, classes[(thread + index) % len(classes)]
-                    )
+                    state.assert_membership(obj, classes[(thread + index) % len(classes)])
             except Exception as error:  # noqa: BLE001 - recorded as a verdict
                 with record_lock:
                     writer_errors.append(f"w{thread}: commit {obj}: {error!r}")
@@ -1050,12 +960,8 @@ def run_commit_fleet_workload(
                 )
             rounds += 1
 
-    writer_threads = [
-        threading.Thread(target=writer, args=(thread,)) for thread in range(writers)
-    ]
-    reader_threads = [
-        threading.Thread(target=reader, args=(slot,)) for slot in range(readers)
-    ]
+    writer_threads = [threading.Thread(target=writer, args=(thread,)) for thread in range(writers)]
+    reader_threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(readers)]
     start = time.perf_counter()
     for worker in writer_threads + reader_threads:
         worker.start()
@@ -1081,12 +987,8 @@ def run_commit_fleet_workload(
         else:
             acks_complete = not writer_errors
             wal_syncs = group_acks = 0
-        extents_equal = all(
-            view.stored_extent
-            == side.evaluator.concept_answers(view.concept, state)
-            for view in side.catalog
-        )
-        live_extents = {view.name: view.stored_extent for view in side.catalog}
+        live_extents = _stored(side)
+        extents_equal = live_extents == _from_scratch(side, state)
     finally:
         if durable:
             maintainer.kill()  # no graceful close: recovery must not need one
@@ -1099,24 +1001,17 @@ def run_commit_fleet_workload(
     recovered_equal_live = True
     recovered_sequence = None
     if durable:
-        fresh = build_side(None)
+        fresh = _register(schema, items)
         recovered = DurableMaintainer.open(
             root, generator_schema, fresh.catalog, window=window, fs=fs
         )
         try:
             recovered_sequence = recovered.recovery_report.recovered_sequence
-            no_acked_lost = recovered_sequence >= max(
-                acked.values(), default=0
-            ) and all(obj in recovered.state.objects for obj in acked)
-            recovered_equal_live = (
-                recovered.state.objects == state.objects
-                and all(
-                    recovered.state.extent(name) == state.extent(name)
-                    for name in state.classes()
-                )
-                and {
-                    view.name: view.stored_extent for view in fresh.catalog
-                } == live_extents
+            no_acked_lost = recovered_sequence >= max(acked.values(), default=0) and all(
+                obj in recovered.state.objects for obj in acked
+            )
+            recovered_equal_live = _states_equal(state, recovered.state) and (
+                _stored(fresh) == live_extents
             )
         finally:
             recovered.kill()
@@ -1127,13 +1022,6 @@ def run_commit_fleet_workload(
         all(later >= earlier for earlier, later in zip(seen, seen[1:]))
         for seen in reader_generations
     )
-    ack_sorted = sorted(ack_latencies)
-
-    def percentile(samples: List[float], fraction: float) -> Optional[float]:
-        if not samples:
-            return None
-        return 1e3 * samples[min(len(samples) - 1, int(fraction * len(samples)))]
-
     return {
         "workload": workload,
         "views": len(items),
@@ -1145,12 +1033,10 @@ def run_commit_fleet_workload(
         "checkpoint_every": checkpoint_every if durable else None,
         "durable": durable,
         "wall_seconds": wall_seconds,
-        "commits_per_second": (
-            total_commits / wall_seconds if wall_seconds else None
-        ),
-        "commit_p50_ms": percentile(sorted(commit_latencies), 0.50),
-        "ack_p50_ms": percentile(ack_sorted, 0.50),
-        "ack_p99_ms": percentile(ack_sorted, 0.99),
+        "commits_per_second": _ratio(total_commits, wall_seconds),
+        "commit_p50_ms": _percentile_ms(commit_latencies, 0.50),
+        "ack_p50_ms": _percentile_ms(ack_latencies, 0.50),
+        "ack_p99_ms": _percentile_ms(ack_latencies, 0.99),
         "acked_commits": len(acked),
         "committed_sequence": committed_sequence,
         "recovered_sequence": recovered_sequence,
@@ -1167,6 +1053,157 @@ def run_commit_fleet_workload(
     }
 
 
+# ---------------------------------------------------------------------------
+# Multi-process serving fleets: the primary (parent) and the forked children
+# ---------------------------------------------------------------------------
+
+
+def _fork_context(scenario: str):
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise RuntimeError(
+            f"{scenario} requires the fork start method "
+            "(interned concept ids are per fork family)"
+        )
+    return multiprocessing.get_context("fork")
+
+
+def _start_servers(state, optimizer, tail_limit: int, shared_cache: bool, wiring=None):
+    """``(replica server, cache server or None)`` for the primary, on localhost.
+
+    ``wiring`` -- the addresses a previous pair served on, which the
+    children already hold -- restarts the servers on the same ports.
+    """
+    from ..database.cacheserver import DecisionCacheServer
+    from ..database.replica import ReplicaServer
+
+    replica_port = wiring["replica_address"][1] if wiring else 0
+    cache_port = wiring["cache_address"][1] if wiring and shared_cache else 0
+    cache_server = DecisionCacheServer(port=cache_port).start() if shared_cache else None
+    replica_server = ReplicaServer(
+        state, optimizer.catalog, port=replica_port, tail_limit=tail_limit
+    ).start()
+    return replica_server, cache_server
+
+
+def _close_servers(replica_server, cache_server) -> None:
+    replica_server.close()
+    if cache_server is not None:
+        cache_server.close()
+
+
+def _warm_shared_cache(optimizer, stream, cache_server):
+    """Warm the shared cache with the stream's decisions: ``(namespace, sets)``.
+
+    Without a cache server there is nothing to warm: ``(None, 0)``.
+    """
+    if cache_server is None:
+        return None, 0
+    from ..core.checker import SubsumptionChecker
+    from ..database.cacheserver import RemoteDecisionCache, cache_namespace
+
+    namespace = cache_namespace(optimizer.sl_schema, optimizer.catalog)
+    warm_remote = RemoteDecisionCache(cache_server.address, namespace)
+    # Publish the stream's decisions from a cold checker: only full
+    # completions are written behind, so a pre-memoized checker would
+    # publish nothing for the children to hit.
+    clear_shared_decision_cache()
+    ShardedMatcher(
+        SubsumptionChecker(optimizer.sl_schema),
+        optimizer.catalog,
+        shards=1,
+        backend="serial",
+        remote=warm_remote,
+    ).match_batch(stream)
+    sets = warm_remote.sets
+    warm_remote.close()
+    return namespace, sets
+
+
+def _commit_with_history(state: DatabaseState, ops, history: Dict[int, object]) -> None:
+    """Apply ``ops`` one commit at a time, snapshotting every committed generation."""
+    for op in ops:
+        apply_update(state, op)
+        history[state.generation] = state.snapshot()
+        time.sleep(0.002)
+
+
+def _collect(children, results, start: float):
+    summaries = [results.get(timeout=120.0) for _ in children]
+    wall_seconds = time.perf_counter() - start
+    for child in children:
+        child.join(timeout=30.0)
+    return summaries, wall_seconds
+
+
+def _judge_serves(summaries, history, stream):
+    """``(child errors, wrong answers, every served generation known)``.
+
+    Each child-served answer is compared with the from-scratch evaluation
+    of its query over the parent's snapshot of exactly the generation the
+    child pinned -- children measure, the parent judges.
+    """
+    from ..database.query_eval import QueryEvaluator
+
+    child_errors = [error for summary in summaries for error in summary["errors"]]
+    evaluator = QueryEvaluator(None)
+    answer_cache: Dict[Tuple[int, int], List[str]] = {}
+    wrong_answers = 0
+    generations_known = True
+    for summary in summaries:
+        for index, generation, answers in summary["serves"]:
+            pinned = history.get(generation)
+            if pinned is None:
+                generations_known = False
+                continue
+            key = (index, generation)
+            if key not in answer_cache:
+                answer_cache[key] = sorted(evaluator.concept_answers(stream[index], pinned))
+            wrong_answers += answers != answer_cache[key]
+    return child_errors, wrong_answers, generations_known
+
+
+def _run_child(slot: int, summary, results, wiring, config, serve) -> None:
+    """The frame every forked serving child runs in: connect, serve, report.
+
+    Connects a :class:`~repro.database.replica.SnapshotReplica` to the
+    addresses ``wiring()`` returns -- plus the shared remote decision
+    cache when one is configured -- and runs ``serve(replica, remote)``.
+    Whatever happens, the connections are closed and ``summary`` (with any
+    error recorded in it) goes back to the parent on ``results``.
+    """
+    from ..database.cacheserver import RemoteDecisionCache
+    from ..database.replica import SnapshotReplica
+
+    remote = None
+    replica = None
+    try:
+        # Fork inherits the parent's warm in-process decision cache; clear
+        # it so cross-process traffic actually reaches the remote tier.
+        clear_shared_decision_cache()
+        addresses = wiring()
+        if addresses["cache_address"] is not None:
+            remote = RemoteDecisionCache(
+                addresses["cache_address"], addresses["namespace"], **config["cache_options"]
+            )
+        replica = SnapshotReplica(
+            addresses["replica_address"],
+            staleness_bound=config["staleness_bound"],
+            remote=remote,
+            **config["replica_options"],
+        ).connect()
+        serve(replica, remote)
+    except Exception as error:  # noqa: BLE001 - shipped back as a verdict
+        summary["errors"].append(f"p{slot}: {error!r}")
+    finally:
+        if replica is not None:
+            replica.close()
+        if remote is not None:
+            remote.close()
+        results.put(summary)
+
+
 def _serve_fleet_child(slot: int, config: Dict[str, object], results) -> None:
     """One forked serving process of the ``serve-fleet`` scenario.
 
@@ -1178,10 +1215,6 @@ def _serve_fleet_child(slot: int, config: Dict[str, object], results) -> None:
     back to the parent for verification against its generation history --
     children measure, the parent judges.
     """
-    from ..core.checker import clear_shared_decision_cache
-    from ..database.cacheserver import RemoteDecisionCache
-    from ..database.replica import SnapshotReplica
-
     summary: Dict[str, object] = {
         "slot": slot,
         "serves": [],
@@ -1193,25 +1226,11 @@ def _serve_fleet_child(slot: int, config: Dict[str, object], results) -> None:
         "epochs_applied": 0,
         "errors": [],
     }
-    remote = None
-    replica = None
-    try:
-        # Fork inherits the parent's warm in-process decision cache; clear
-        # it so cross-process traffic actually reaches the remote tier.
-        clear_shared_decision_cache()
-        if config["cache_address"] is not None:
-            remote = RemoteDecisionCache(
-                config["cache_address"], config["namespace"]
-            )
-        replica = SnapshotReplica(
-            config["replica_address"],
-            staleness_bound=config["staleness_bound"],
-            remote=remote,
-        ).connect()
-        stream = config["stream"]
-        clients = config["clients"]
-        lock = threading.Lock()
+    stream = config["stream"]
+    clients = config["clients"]
+    lock = threading.Lock()
 
+    def serve(replica, remote) -> None:
         def client(indices) -> None:
             for index in indices:
                 t0 = time.perf_counter()
@@ -1219,17 +1238,13 @@ def _serve_fleet_child(slot: int, config: Dict[str, object], results) -> None:
                 elapsed = time.perf_counter() - t0
                 with lock:
                     summary["latencies"].append(elapsed)
-                    summary["serves"].append(
-                        (index, generation, sorted(answers))
-                    )
+                    summary["serves"].append((index, generation, sorted(answers)))
 
         for _ in range(config["rounds"]):
             lag = replica.ensure_fresh()
             summary["max_lag"] = max(summary["max_lag"], lag)
             threads = [
-                threading.Thread(
-                    target=client, args=(range(shard, len(stream), clients),)
-                )
+                threading.Thread(target=client, args=(range(shard, len(stream), clients),))
                 for shard in range(clients)
             ]
             for thread in threads:
@@ -1241,14 +1256,8 @@ def _serve_fleet_child(slot: int, config: Dict[str, object], results) -> None:
         if remote is not None:
             summary["remote_hits"] = remote.hits
             summary["remote_misses"] = remote.misses
-    except Exception as error:  # noqa: BLE001 - shipped back as a verdict
-        summary["errors"].append(f"p{slot}: {error!r}")
-    finally:
-        if replica is not None:
-            replica.close()
-        if remote is not None:
-            remote.close()
-        results.put(summary)
+
+    _run_child(slot, summary, results, lambda: config, config, serve)
 
 
 def run_serve_fleet_workload(
@@ -1299,70 +1308,29 @@ def run_serve_fleet_workload(
     the whole fleet), ``queries_per_second``, ``cache_hit_rate``,
     ``snapshot_loads`` and ``epochs_applied`` (how the replicas kept up).
     """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError(
-            "serve-fleet requires the fork start method "
-            "(interned concept ids are per fork family)"
-        )
-    from ..database.cacheserver import (
-        DecisionCacheServer,
-        RemoteDecisionCache,
-        cache_namespace,
+    context = _fork_context("serve-fleet")
+    schema, generator_schema, items, stream, (state,) = _workload_copies(
+        workload, views, max(queries, 1), seed, 1
     )
-    from ..database.query_eval import QueryEvaluator
-    from ..database.replica import ReplicaServer
-    from ..core.checker import SubsumptionChecker
+    optimizer = _register(schema, items)
 
-    schema, state, catalog_concepts, stream = batch_workload_setup(
-        workload, views, max(queries, 1), seed
-    )
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
-    optimizer = SemanticQueryOptimizer(schema, lattice=True)
-    for name, concept in catalog_concepts.items():
-        optimizer.register_view_concept(name, concept)
-
-    cache_server = DecisionCacheServer().start() if shared_cache else None
-    replica_server = ReplicaServer(
-        state, optimizer.catalog, tail_limit=tail_limit
-    ).start()
-    namespace = None
-    warm_sets = 0
+    replica_server, cache_server = _start_servers(state, optimizer, tail_limit, shared_cache)
     try:
-        if cache_server is not None:
-            namespace = cache_namespace(optimizer.sl_schema, optimizer.catalog)
-            warm_remote = RemoteDecisionCache(cache_server.address, namespace)
-            # Publish the stream's decisions from a cold checker: only full
-            # completions are written behind, so a pre-memoized checker
-            # would publish nothing for the children to hit.
-            clear_shared_decision_cache()
-            warm_matcher = ShardedMatcher(
-                SubsumptionChecker(optimizer.sl_schema),
-                optimizer.catalog,
-                shards=1,
-                backend="serial",
-                remote=warm_remote,
-            )
-            warm_matcher.match_batch(stream)
-            warm_sets = warm_remote.sets
-            warm_remote.close()
-
-        context = multiprocessing.get_context("fork")
+        namespace, warm_sets = _warm_shared_cache(optimizer, stream, cache_server)
         results = context.Queue()
         config = {
             "cache_address": cache_server.address if cache_server else None,
             "namespace": namespace,
             "replica_address": replica_server.address,
             "staleness_bound": staleness_bound,
+            "cache_options": {},
+            "replica_options": {},
             "stream": stream,
             "clients": clients,
             "rounds": rounds,
         }
         children = [
-            context.Process(
-                target=_serve_fleet_child, args=(slot, config, results)
-            )
+            context.Process(target=_serve_fleet_child, args=(slot, config, results))
             for slot in range(processes)
         ]
         history = {state.generation: state.snapshot()}
@@ -1373,54 +1341,21 @@ def run_serve_fleet_workload(
         # The primary mutates while the fleet serves; every committed
         # generation is snapshotted so any answer the children pin can be
         # re-derived from scratch.
-        for op in generate_update_stream(generator_schema, state, updates, seed + 21):
-            apply_update(state, op)
-            history[state.generation] = state.snapshot()
-            time.sleep(0.002)
-
-        summaries = [results.get(timeout=120.0) for _ in children]
-        wall_seconds = time.perf_counter() - start
-        for child in children:
-            child.join(timeout=30.0)
+        ops = generate_update_stream(generator_schema, state, updates, seed + 21)
+        _commit_with_history(state, ops, history)
+        summaries, wall_seconds = _collect(children, results, start)
     finally:
-        replica_server.close()
-        if cache_server is not None:
-            cache_server.close()
+        _close_servers(replica_server, cache_server)
 
-    child_errors = [error for summary in summaries for error in summary["errors"]]
-    evaluator = QueryEvaluator(None)
-    answer_cache: Dict[Tuple[int, int], List[str]] = {}
-    answers_match_spec = True
-    generations_known = True
-    for summary in summaries:
-        for index, generation, answers in summary["serves"]:
-            pinned = history.get(generation)
-            if pinned is None:
-                generations_known = False
-                continue
-            key = (index, generation)
-            if key not in answer_cache:
-                answer_cache[key] = sorted(
-                    evaluator.concept_answers(stream[index], pinned)
-                )
-            answers_match_spec &= answers == answer_cache[key]
-
-    latencies = sorted(
-        latency for summary in summaries for latency in summary["latencies"]
-    )
+    child_errors, wrong_answers, generations_known = _judge_serves(summaries, history, stream)
+    latencies = [latency for summary in summaries for latency in summary["latencies"]]
     total_serves = len(latencies)
     remote_hits = sum(summary["remote_hits"] for summary in summaries)
     remote_misses = sum(summary["remote_misses"] for summary in summaries)
     max_lag = max((summary["max_lag"] for summary in summaries), default=0)
-
-    def percentile(samples: List[float], fraction: float) -> Optional[float]:
-        if not samples:
-            return None
-        return 1e3 * samples[min(len(samples) - 1, int(fraction * len(samples)))]
-
     return {
         "workload": workload,
-        "views": len(catalog_concepts),
+        "views": len(items),
         "queries": len(stream),
         "processes": processes,
         "clients": clients,
@@ -1431,26 +1366,21 @@ def run_serve_fleet_workload(
         "shared_cache": shared_cache,
         "wall_seconds": wall_seconds,
         "total_serves": total_serves,
-        "queries_per_second": total_serves / wall_seconds if wall_seconds else None,
-        "query_p50_ms": percentile(latencies, 0.50),
-        "query_p99_ms": percentile(latencies, 0.99),
-        "query_mean_ms": 1e3 * sum(latencies) / total_serves if total_serves else None,
+        "queries_per_second": _ratio(total_serves, wall_seconds),
+        "query_p50_ms": _percentile_ms(latencies, 0.50),
+        "query_p99_ms": _percentile_ms(latencies, 0.99),
+        "query_mean_ms": _ratio(1e3 * sum(latencies), total_serves),
         "warm_cache_sets": warm_sets,
         "remote_hits": remote_hits,
         "remote_misses": remote_misses,
-        "cache_hit_rate": (
-            remote_hits / (remote_hits + remote_misses)
-            if remote_hits + remote_misses
-            else None
-        ),
+        "cache_hit_rate": _ratio(remote_hits, remote_hits + remote_misses),
         "max_post_catchup_lag": max_lag,
         "snapshot_loads": sum(summary["snapshot_loads"] for summary in summaries),
         "epochs_applied": sum(summary["epochs_applied"] for summary in summaries),
         "committed_generations": len(history),
         "child_errors": child_errors,
-        "answers_match_spec": answers_match_spec and generations_known,
-        "staleness_bound_honored": generations_known
-        and max_lag <= staleness_bound,
+        "answers_match_spec": generations_known and wrong_answers == 0,
+        "staleness_bound_honored": generations_known and max_lag <= staleness_bound,
         "cache_hits_observed": (not shared_cache) or remote_hits > 0,
         "no_child_errors": not child_errors,
     }
@@ -1472,10 +1402,6 @@ def _serve_chaos_child(
     parent can re-derive it from scratch -- children measure, the parent
     judges.
     """
-    from ..core.checker import clear_shared_decision_cache
-    from ..database.cacheserver import RemoteDecisionCache
-    from ..database.replica import SnapshotReplica
-
     summary: Dict[str, object] = {
         "slot": slot,
         "serves": [],
@@ -1488,25 +1414,8 @@ def _serve_chaos_child(
         "recovered_at": None,
         "errors": [],
     }
-    remote = None
-    replica = None
-    try:
-        clear_shared_decision_cache()
-        # The parent forks children *before* binding any server socket
-        # (an inherited listener fd would keep the port bound through the
-        # restart), so the addresses arrive over a queue once the servers
-        # are up.
-        wiring = addresses.get(timeout=30.0)
-        if wiring["cache_address"] is not None:
-            remote = RemoteDecisionCache(
-                wiring["cache_address"], wiring["namespace"], timeout=1.0
-            )
-        replica = SnapshotReplica(
-            wiring["replica_address"],
-            staleness_bound=config["staleness_bound"],
-            timeout=2.0,
-            remote=remote,
-        ).connect()
+
+    def serve(replica, remote) -> None:
         barrier.wait(timeout=30.0)
         stream = config["stream"]
         rounds_done = 0
@@ -1516,9 +1425,7 @@ def _serve_chaos_child(
         # Serve at least ``rounds`` rounds AND keep serving until the
         # parent's stop flag -- set only after the restarted servers are
         # back -- so the serving loop is guaranteed to span the outage.
-        while (
-            rounds_done < config["rounds"] or not stop.is_set()
-        ) and time.time() < hard_deadline:
+        while (rounds_done < config["rounds"] or not stop.is_set()) and time.time() < hard_deadline:
             rounds_done += 1
             degraded = False
             round_ok = True
@@ -1558,14 +1465,12 @@ def _serve_chaos_child(
             time.sleep(0.02)
         summary["reconnects"] = replica.reconnects
         summary["snapshot_loads"] = replica.snapshot_loads
-    except Exception as error:  # noqa: BLE001 - shipped back as a verdict
-        summary["errors"].append(f"p{slot}: {error!r}")
-    finally:
-        if replica is not None:
-            replica.close()
-        if remote is not None:
-            remote.close()
-        results.put(summary)
+
+    # The parent forks children *before* binding any server socket (an
+    # inherited listener fd would keep the port bound through the
+    # restart), so the addresses arrive over a queue once the servers are
+    # up.
+    _run_child(slot, summary, results, lambda: addresses.get(timeout=30.0), config, serve)
 
 
 def run_serve_chaos_workload(
@@ -1609,42 +1514,25 @@ def run_serve_chaos_workload(
     ``recovery_seconds`` (worst child, from primary restart to its first
     fully fresh exchange), ``degraded_serves``, ``reconnects``.
     """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError(
-            "serve-chaos requires the fork start method "
-            "(interned concept ids are per fork family)"
-        )
-    from ..core.checker import SubsumptionChecker
-    from ..database.cacheserver import (
-        DecisionCacheServer,
-        RemoteDecisionCache,
-        cache_namespace,
+    context = _fork_context("serve-chaos")
+    schema, generator_schema, items, stream, (state,) = _workload_copies(
+        workload, views, max(queries, 1), seed, 1
     )
-    from ..database.query_eval import QueryEvaluator
-    from ..database.replica import ReplicaServer
-
-    schema, state, catalog_concepts, stream = batch_workload_setup(
-        workload, views, max(queries, 1), seed
-    )
-    generator_schema = schema_to_sl(schema) if isinstance(schema, DLSchema) else schema
-    optimizer = SemanticQueryOptimizer(schema, lattice=True)
-    for name, concept in catalog_concepts.items():
-        optimizer.register_view_concept(name, concept)
+    optimizer = _register(schema, items)
 
     # Fork the children BEFORE any server socket exists: a forked child
     # inherits every open fd, and an inherited listener would keep the
     # port bound after the parent closes it -- the restart-on-same-port
     # leg would then fail with EADDRINUSE.  The children learn the server
     # addresses over a queue instead.
-    context = multiprocessing.get_context("fork")
     results = context.Queue()
     addresses = context.Queue()
     barrier = context.Barrier(processes + 1)
     stop = context.Event()
     config = {
         "staleness_bound": staleness_bound,
+        "cache_options": {"timeout": 1.0},
+        "replica_options": {"timeout": 2.0},
         "stream": stream,
         "rounds": rounds,
         "round_pause": 0.03,
@@ -1662,32 +1550,14 @@ def run_serve_chaos_workload(
     for child in children:
         child.start()
 
-    cache_server = DecisionCacheServer().start() if shared_cache else None
-    replica_server = ReplicaServer(
-        state, optimizer.catalog, tail_limit=tail_limit
-    ).start()
-    replica_host, replica_port = replica_server.address
-    cache_address = cache_server.address if cache_server else None
-    namespace = None
+    replica_server, cache_server = _start_servers(state, optimizer, tail_limit, shared_cache)
+    wiring = {
+        "cache_address": cache_server.address if cache_server else None,
+        "namespace": None,
+        "replica_address": replica_server.address,
+    }
     try:
-        if cache_server is not None:
-            namespace = cache_namespace(optimizer.sl_schema, optimizer.catalog)
-            warm_remote = RemoteDecisionCache(cache_server.address, namespace)
-            clear_shared_decision_cache()
-            ShardedMatcher(
-                SubsumptionChecker(optimizer.sl_schema),
-                optimizer.catalog,
-                shards=1,
-                backend="serial",
-                remote=warm_remote,
-            ).match_batch(stream)
-            warm_remote.close()
-
-        wiring = {
-            "cache_address": cache_address,
-            "namespace": namespace,
-            "replica_address": (replica_host, replica_port),
-        }
+        wiring["namespace"], _ = _warm_shared_cache(optimizer, stream, cache_server)
         for _ in children:
             addresses.put(wiring)
         history = {state.generation: state.snapshot()}
@@ -1696,68 +1566,28 @@ def run_serve_chaos_workload(
         start = time.perf_counter()
         ops = list(generate_update_stream(generator_schema, state, updates, seed + 21))
         half = len(ops) // 2
-        for op in ops[:half]:
-            apply_update(state, op)
-            history[state.generation] = state.snapshot()
-            time.sleep(0.002)
+        _commit_with_history(state, ops[:half], history)
 
         # The outage: both serving ports go dark, live connections die.
-        replica_server.close()
-        if cache_server is not None:
-            cache_server.close()
+        _close_servers(replica_server, cache_server)
         # The primary itself keeps committing through the outage -- the
         # restarted replica server must ship the children everything they
         # missed.
-        for op in ops[half:]:
-            apply_update(state, op)
-            history[state.generation] = state.snapshot()
-            time.sleep(0.002)
+        _commit_with_history(state, ops[half:], history)
         time.sleep(outage_seconds)
 
         # Restart on the same ports (the addresses the children hold).
-        replica_server = ReplicaServer(
-            state,
-            optimizer.catalog,
-            host=replica_host,
-            port=replica_port,
-            tail_limit=tail_limit,
-        ).start()
-        if cache_server is not None:
-            cache_server = DecisionCacheServer(
-                host=cache_address[0], port=cache_address[1]
-            ).start()
+        replica_server, cache_server = _start_servers(
+            state, optimizer, tail_limit, shared_cache, wiring
+        )
         restart_time = time.time()
         stop.set()  # the chaos window is over; children may wind down
-
-        summaries = [results.get(timeout=120.0) for _ in children]
-        wall_seconds = time.perf_counter() - start
-        for child in children:
-            child.join(timeout=30.0)
+        summaries, wall_seconds = _collect(children, results, start)
     finally:
         stop.set()  # never leave children looping after a parent error
-        replica_server.close()
-        if cache_server is not None:
-            cache_server.close()
+        _close_servers(replica_server, cache_server)
 
-    child_errors = [error for summary in summaries for error in summary["errors"]]
-    evaluator = QueryEvaluator(None)
-    answer_cache: Dict[Tuple[int, int], List[str]] = {}
-    wrong_answers = 0
-    generations_known = True
-    for summary in summaries:
-        for index, generation, answers in summary["serves"]:
-            pinned = history.get(generation)
-            if pinned is None:
-                generations_known = False
-                continue
-            key = (index, generation)
-            if key not in answer_cache:
-                answer_cache[key] = sorted(
-                    evaluator.concept_answers(stream[index], pinned)
-                )
-            if answers != answer_cache[key]:
-                wrong_answers += 1
-
+    child_errors, wrong_answers, generations_known = _judge_serves(summaries, history, stream)
     attempted = sum(summary["attempted"] for summary in summaries)
     answered = sum(summary["answered"] for summary in summaries)
     availability = answered / attempted if attempted else 0.0
@@ -1766,11 +1596,9 @@ def run_serve_chaos_workload(
         for summary in summaries
         if summary["recovered_at"] is not None
     ]
-    all_recovered = len(recovery_times) == len(summaries)
-
     return {
         "workload": workload,
-        "views": len(catalog_concepts),
+        "views": len(items),
         "queries": len(stream),
         "processes": processes,
         "rounds": rounds,
@@ -1784,18 +1612,132 @@ def run_serve_chaos_workload(
         "answered_serves": answered,
         "availability": availability,
         "wrong_answers": wrong_answers,
-        "degraded_serves": sum(s["degraded_serves"] for s in summaries),
-        "degraded_rounds": sum(s["degraded_rounds"] for s in summaries),
-        "reconnects": sum(s["reconnects"] for s in summaries),
-        "snapshot_loads": sum(s["snapshot_loads"] for s in summaries),
+        "degraded_serves": sum(summary["degraded_serves"] for summary in summaries),
+        "degraded_rounds": sum(summary["degraded_rounds"] for summary in summaries),
+        "reconnects": sum(summary["reconnects"] for summary in summaries),
+        "snapshot_loads": sum(summary["snapshot_loads"] for summary in summaries),
         "recovery_seconds": max(recovery_times) if recovery_times else None,
         "committed_generations": len(history),
         "child_errors": child_errors,
         "no_wrong_answers": generations_known and wrong_answers == 0,
         "available_through_outage": availability >= 0.95,
-        "all_children_recovered": all_recovered,
+        "all_children_recovered": len(recovery_times) == len(summaries),
         "no_child_errors": not child_errors,
     }
+
+
+# ---------------------------------------------------------------------------
+# The scenario table and the command line
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One workload scenario, declared once for the CLI, the benches and the tests."""
+
+    #: The ``run_*_workload`` function; the workload is its one positional argument.
+    runner: Callable[..., Dict[str, object]]
+    #: The parsed command-line options :func:`main` forwards as keywords.
+    options: Tuple[str, ...]
+    #: Report keys that must all be true for the scenario to exit 0.
+    verdicts: Tuple[str, ...]
+    #: The scenario's entry in ``--scenario``'s help text.
+    help: str
+
+
+SCENARIOS: Dict[str, Scenario] = {
+    "serve": Scenario(
+        run_batch_workload,
+        ("views", "queries", "shards", "backend", "seed"),
+        ("catalog_equal", "matches_equal", "plans_equal", "answers_sound"),
+        "batched register+match",
+    ),
+    "maintain": Scenario(
+        run_maintenance_workload,
+        ("views", "updates", "batch_size", "queries", "seed"),
+        ("extents_equal", "states_equal", "engine_serving_sound"),
+        "update-heavy maintenance",
+    ),
+    "maintain-async": Scenario(
+        run_async_maintenance_workload,
+        ("views", "updates", "batch_size", "window", "queries", "seed"),
+        (
+            "prefix_consistent",
+            "drained_equal_sync",
+            "extents_equal",
+            "states_equal",
+            "async_serving_sound",
+            "sync_serving_sound",
+        ),
+        "serve-from-generation async flushes",
+    ),
+    "maintain-durable": Scenario(
+        run_durable_maintenance_workload,
+        ("views", "updates", "batch_size", "window", "seed", "sync_every", "checkpoint_every"),
+        (
+            "durable_sequence_complete",
+            "durable_equal_volatile",
+            "recovered_equal_live",
+            "replay_recovered_equal_live",
+            "recovery_idempotent",
+        ),
+        "write-ahead-logged commits with crash recovery",
+    ),
+    # --checkpoint-every is not forwarded: the fleet keeps its runner's
+    # default (no periodic checkpoints), not the flag's default of 8.
+    "commit-fleet": Scenario(
+        run_commit_fleet_workload,
+        ("views", "queries", "writers", "readers", "commits", "sync_every", "seed"),
+        (
+            "acks_complete",
+            "no_acked_lost",
+            "recovered_equal_live",
+            "reader_generations_monotonic",
+            "readers_serving_sound",
+            "extents_equal",
+        ),
+        "K concurrent writers x M readers with group-commit fsync ACKs and a loss verdict",
+    ),
+    "serve-fleet": Scenario(
+        run_serve_fleet_workload,
+        (
+            "views",
+            "queries",
+            "processes",
+            "clients",
+            "rounds",
+            "updates",
+            "staleness_bound",
+            "shared_cache",
+            "seed",
+        ),
+        ("answers_match_spec", "staleness_bound_honored", "cache_hits_observed", "no_child_errors"),
+        "K forked serving processes x M client threads over the shared-cache + "
+        "snapshot-replica fabric",
+    ),
+    "serve-chaos": Scenario(
+        run_serve_chaos_workload,
+        (
+            "views",
+            "queries",
+            "processes",
+            "rounds",
+            "updates",
+            "staleness_bound",
+            "shared_cache",
+            "outage_seconds",
+            "seed",
+        ),
+        (
+            "no_wrong_answers",
+            "available_through_outage",
+            "all_children_recovered",
+            "no_child_errors",
+        ),
+        "the serve-fleet fabric under induced server outages, with availability / "
+        "wrong-answer / recovery verdicts",
+    ),
+}
 
 
 def main(argv=None) -> int:
@@ -1803,26 +1745,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scenario",
         default="serve",
-        choices=(
-            "serve",
-            "maintain",
-            "maintain-async",
-            "maintain-durable",
-            "commit-fleet",
-            "serve-fleet",
-            "serve-chaos",
-        ),
-        help=(
-            "serve: batched register+match; maintain: update-heavy "
-            "maintenance; maintain-async: serve-from-generation async "
-            "flushes; maintain-durable: write-ahead-logged commits with "
-            "crash recovery; commit-fleet: K concurrent writers x M "
-            "readers with group-commit fsync ACKs and a loss verdict; "
-            "serve-fleet: K forked serving processes x M client threads "
-            "over the shared-cache + snapshot-replica fabric; "
-            "serve-chaos: the serve-fleet fabric under induced server "
-            "outages, with availability / wrong-answer / recovery verdicts"
-        ),
+        choices=tuple(SCENARIOS),
+        help="; ".join(f"{name}: {scenario.help}" for name, scenario in SCENARIOS.items()),
     )
     parser.add_argument(
         "--workload",
@@ -1850,142 +1774,14 @@ def main(argv=None) -> int:
     parser.add_argument("--staleness-bound", type=int, default=8)
     parser.add_argument("--no-shared-cache", action="store_true")
     parser.add_argument("--outage-seconds", type=float, default=0.4)
-    args = parser.parse_args(argv)
-    if args.scenario == "serve-chaos":
-        report = run_serve_chaos_workload(
-            args.workload,
-            views=args.views,
-            queries=args.queries,
-            processes=args.processes,
-            rounds=args.rounds,
-            updates=args.updates,
-            staleness_bound=args.staleness_bound,
-            shared_cache=not args.no_shared_cache,
-            outage_seconds=args.outage_seconds,
-            seed=args.seed,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["no_wrong_answers"]
-            and report["available_through_outage"]
-            and report["all_children_recovered"]
-            and report["no_child_errors"]
-        )
-        return 0 if ok else 1
-    if args.scenario == "serve-fleet":
-        report = run_serve_fleet_workload(
-            args.workload,
-            views=args.views,
-            queries=args.queries,
-            processes=args.processes,
-            clients=args.clients,
-            rounds=args.rounds,
-            updates=args.updates,
-            staleness_bound=args.staleness_bound,
-            shared_cache=not args.no_shared_cache,
-            seed=args.seed,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["answers_match_spec"]
-            and report["staleness_bound_honored"]
-            and report["cache_hits_observed"]
-            and report["no_child_errors"]
-        )
-        return 0 if ok else 1
-    if args.scenario == "commit-fleet":
-        report = run_commit_fleet_workload(
-            args.workload,
-            views=args.views,
-            queries=args.queries,
-            writers=args.writers,
-            readers=args.readers,
-            commits=args.commits,
-            sync_every=args.sync_every,
-            seed=args.seed,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["acks_complete"]
-            and report["no_acked_lost"]
-            and report["recovered_equal_live"]
-            and report["reader_generations_monotonic"]
-            and report["readers_serving_sound"]
-            and report["extents_equal"]
-        )
-        return 0 if ok else 1
-    if args.scenario == "maintain-durable":
-        report = run_durable_maintenance_workload(
-            args.workload,
-            views=args.views,
-            updates=args.updates,
-            batch_size=args.batch_size,
-            window=args.window,
-            seed=args.seed,
-            sync_every=args.sync_every,
-            checkpoint_every=args.checkpoint_every,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["durable_sequence_complete"]
-            and report["durable_equal_volatile"]
-            and report["recovered_equal_live"]
-            and report["replay_recovered_equal_live"]
-            and report["recovery_idempotent"]
-        )
-        return 0 if ok else 1
-    if args.scenario == "maintain-async":
-        report = run_async_maintenance_workload(
-            args.workload,
-            views=args.views,
-            updates=args.updates,
-            batch_size=args.batch_size,
-            window=args.window,
-            queries=args.queries,
-            seed=args.seed,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["prefix_consistent"]
-            and report["drained_equal_sync"]
-            and report["extents_equal"]
-            and report["states_equal"]
-            and report["async_serving_sound"]
-            and report["sync_serving_sound"]
-        )
-        return 0 if ok else 1
-    if args.scenario == "maintain":
-        report = run_maintenance_workload(
-            args.workload,
-            views=args.views,
-            updates=args.updates,
-            batch_size=args.batch_size,
-            queries=args.queries,
-            seed=args.seed,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = (
-            report["extents_equal"]
-            and report["states_equal"]
-            and report["engine_serving_sound"]
-        )
-        return 0 if ok else 1
-    report = run_batch_workload(
-        args.workload,
-        views=args.views,
-        queries=args.queries,
-        shards=args.shards,
-        backend=args.backend,
-        seed=args.seed,
+    options = vars(parser.parse_args(argv))
+    options["shared_cache"] = not options.pop("no_shared_cache")
+    scenario = SCENARIOS[options["scenario"]]
+    report = scenario.runner(
+        options["workload"], **{name: options[name] for name in scenario.options}
     )
     print(json.dumps(report, indent=2, sort_keys=True))
-    ok = (
-        report["catalog_equal"]
-        and report["matches_equal"]
-        and report["plans_equal"]
-        and report["answers_sound"]
-    )
-    return 0 if ok else 1
+    return 0 if all(report[verdict] for verdict in scenario.verdicts) else 1
 
 
 if __name__ == "__main__":

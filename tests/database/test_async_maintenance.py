@@ -208,7 +208,9 @@ class TestCrashReplay:
 
         The state mutation has already happened when on_commit blocks on
         the queue bound; kill() must release it with a RuntimeError rather
-        than leave the writer blocked on a queue no worker will drain.
+        than leave the writer blocked on a queue no worker will drain, and
+        must drop the queued epochs (and their pinned snapshots) that no
+        worker will ever flush.
         """
         state = seed_state()
         catalog = build_catalog()
@@ -234,6 +236,7 @@ class TestCrashReplay:
         thread.join()
         assert errors  # the dead maintainer surfaced the stop
         assert "k1" in state.extent(CLASSES[1])  # the mutation itself stands
+        assert maintainer.pending_epochs == 0  # the paused queue was dropped
 
 
 class TestWindowAndBarriers:

@@ -387,21 +387,32 @@ class TestCrashRecoveryOracle:
         finally:
             third.kill()
 
-    def test_dead_worker_commits_reach_the_wal_and_recover(self):
+    def test_dead_worker_commits_reach_the_wal_and_recover(self, monkeypatch):
         fs = FaultyFileSystem()
         state = seed_state()
         catalog = build_catalog()
         maintainer = DurableMaintainer(
             state, catalog, path=LOG_DIR, fs=fs, checkpoint_every=None, bootstrap=True
         )
+        pinned = []
+        snapshot = DatabaseState.snapshot
+
+        def counted_snapshot(live):
+            pinned.append(live.commit_sequence)
+            return snapshot(live)
+
         try:
             maintainer.kill()  # the flush worker dies...
             state.subscribe(maintainer)  # ...while the commit path stays attached
             before = state.commit_sequence
-            for index in range(5):
-                with pytest.raises(RuntimeError):
-                    state.assert_membership(f"t{index}", CLASSES[0])
-            # Every commit raised without queuing, yet reached the WAL.
+            with monkeypatch.context() as patch:
+                patch.setattr(DatabaseState, "snapshot", counted_snapshot)
+                for index in range(5):
+                    with pytest.raises(RuntimeError):
+                        state.assert_membership(f"t{index}", CLASSES[0])
+            # Every commit raised without queuing (or pinning a snapshot only
+            # to discard it), yet reached the WAL.
+            assert not pinned
             assert maintainer.pending_epochs == 0
             assert maintainer.wal.appended_sequence == state.commit_sequence == before + 5
             # The sequence advanced through the raises: the checkpoint covers them.

@@ -173,6 +173,14 @@ class TestFrameIntegrity:
         with pytest.raises(ReplicaConnectionError, match="oversized"):
             _read_frame(io.BytesIO(header))
 
+    def test_frame_over_the_wire_bound_is_rejected_before_its_payload(self):
+        """PROTOCOL.md section 2.1 bounds wire frames at 64 MiB: a header
+        announcing 100 MiB is refused as oversized before the reader waits
+        for (or buffers) a single payload byte."""
+        header = _HEADER.pack(100 << 20, 0)
+        with pytest.raises(ReplicaConnectionError, match="oversized"):
+            _read_frame(io.BytesIO(header))
+
     def test_corrupt_frame_from_a_live_exchange_heals_by_redial(self):
         """A torn snapshot frame (flipped bytes in flight) is detected by
         the CRC, surfaces as a retryable connection fault, and the

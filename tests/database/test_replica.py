@@ -13,7 +13,7 @@ integrity and the error responses.
 
 import socket
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.database.query_eval import QueryEvaluator
@@ -173,6 +173,15 @@ oracle_steps = st.lists(
 
 @settings(max_examples=20, deadline=None)
 @given(steps=oracle_steps, tail_limit=st.integers(min_value=2, max_value=32))
+@example(
+    steps=[
+        ("mutate", ("set", "o0", "p1", "o1")),
+        ("mutate", ("assert", "o0", "K2")),
+        ("poll",),
+        ("serve",),
+    ],
+    tail_limit=8,
+)
 def test_replica_staleness_oracle(steps, tail_limit):
     """Every served answer == from-scratch refresh of the pinned generation.
 
@@ -184,6 +193,13 @@ def test_replica_staleness_oracle(steps, tail_limit):
     from-scratch evaluation over that generation's snapshot, and (c) after
     ``ensure_fresh`` the pinned generation must be within the staleness
     bound of the primary's newest.
+
+    Only legal states are served: a drawn epoch reaches the primary only if
+    it leaves a copy of the state satisfying every schema axiom.  The
+    paper's subsumption-based answers are promised for legal states only;
+    on an illegal one a schema-subsumer's extent is not a sound filter
+    (the pinned example: ``o0`` gains ``p1 o1`` and ``K2``, and the
+    matcher's subsumer of the probe also requires a class ``o0`` lacks).
     """
     from ..strategies import hierarchical_catalog
 
@@ -201,6 +217,10 @@ def test_replica_staleness_oracle(steps, tail_limit):
         try:
             for step in steps:
                 if step[0] == "mutate":
+                    trial = DatabaseState.from_snapshot(state.snapshot())
+                    apply_mutation(trial, step[1])
+                    if not trial.is_consistent():
+                        continue
                     apply_mutation(state, step[1])
                     history[state.generation] = state.snapshot()
                 elif step[0] == "poll":

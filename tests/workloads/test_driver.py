@@ -1,8 +1,15 @@
 """The batch workload driver must report all-green equivalence verdicts."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.workloads.driver import (
+    SCENARIOS,
     apply_update,
     batch_workload_setup,
     generate_update_stream,
@@ -14,11 +21,9 @@ from repro.workloads.driver import (
 )
 
 
-def assert_green(report):
-    assert report["catalog_equal"]
-    assert report["matches_equal"]
-    assert report["plans_equal"]
-    assert report["answers_sound"]
+def assert_green(report, scenario="serve"):
+    for verdict in SCENARIOS[scenario].verdicts:
+        assert report[verdict], verdict
 
 
 class TestBatchWorkloadDriver:
@@ -52,9 +57,7 @@ class TestMaintenanceWorkloadDriver:
         report = run_maintenance_workload(
             workload, views=8, updates=24, batch_size=6, queries=3, seed=1
         )
-        assert report["extents_equal"]
-        assert report["states_equal"]
-        assert report["engine_serving_sound"]
+        assert_green(report, "maintain")
         assert report["flushes"] == report["epochs"]
         assert report["deltas_seen"] > 0
 
@@ -63,11 +66,7 @@ class TestMaintenanceWorkloadDriver:
         report = run_async_maintenance_workload(
             workload, views=8, updates=24, batch_size=6, window=2, queries=3, seed=1
         )
-        assert report["prefix_consistent"]
-        assert report["drained_equal_sync"]
-        assert report["extents_equal"]
-        assert report["states_equal"]
-        assert report["async_serving_sound"]
+        assert_green(report, "maintain-async")
         assert report["epochs_enqueued"] > 0
         # Every enqueued epoch was flushed by drain(); each flush batch of
         # size k coalesces k-1 epochs, so the counters must reconcile.
@@ -87,11 +86,7 @@ class TestMaintenanceWorkloadDriver:
             seed=1,
             log_dir=str(tmp_path),
         )
-        assert report["durable_sequence_complete"]
-        assert report["durable_equal_volatile"]
-        assert report["recovered_equal_live"]
-        assert report["replay_recovered_equal_live"]
-        assert report["recovery_idempotent"]
+        assert_green(report, "maintain-durable")
         # The checkpointed side replays a short tail, the other every epoch.
         assert report["recovered_replayed_epochs"] < report["replay_replayed_epochs"]
 
@@ -106,12 +101,7 @@ class TestMaintenanceWorkloadDriver:
             sync_every=4,
             seed=1,
         )
-        assert report["acks_complete"]
-        assert report["no_acked_lost"]
-        assert report["recovered_equal_live"]
-        assert report["reader_generations_monotonic"]
-        assert report["readers_serving_sound"]
-        assert report["extents_equal"]
+        assert_green(report, "commit-fleet")
         assert not report["writer_errors"]
         assert report["acked_commits"] == report["total_commits"] == 18
         assert report["recovered_sequence"] == report["committed_sequence"]
@@ -127,10 +117,8 @@ class TestMaintenanceWorkloadDriver:
             durable=False,
             seed=1,
         )
-        assert report["acks_complete"]
-        assert report["reader_generations_monotonic"]
-        assert report["readers_serving_sound"]
-        assert report["extents_equal"]
+        # Without a WAL the loss verdicts hold trivially; the rest still bind.
+        assert_green(report, "commit-fleet")
         assert report["ack_p50_ms"] is None
         assert report["recovered_sequence"] is None
 
@@ -149,3 +137,48 @@ class TestMaintenanceWorkloadDriver:
         assert state_a.objects == state_b.objects
         for name in state_a.classes():
             assert state_a.extent(name) == state_b.extent(name)
+
+
+#: Small command lines for every scenario: the CI smoke sizes for the fleet
+#: scenarios, reduced sizes for the rest so the whole table runs in seconds.
+SMOKE_ARGS = {
+    "serve": "--views 8 --queries 4",
+    "maintain": "--workload trading --views 8 --updates 24 --queries 4",
+    "maintain-async": "--views 8 --updates 24 --queries 4",
+    "maintain-durable": "--workload trading --views 8 --updates 24",
+    "commit-fleet": "--views 8 --queries 4 --writers 2 --readers 1 --commits 6",
+    "serve-fleet": "--processes 2 --clients 4 --rounds 1 --views 8 --queries 4 --updates 8",
+    "serve-chaos": (
+        "--processes 2 --rounds 3 --views 8 --queries 4 --updates 12 --outage-seconds 0.3"
+    ),
+}
+
+#: Each scenario's report keys as printed by the command line (a golden file:
+#: the benches and CI read these keys, so a rename must be deliberate).
+REPORT_KEYS = os.path.join(os.path.dirname(__file__), "scenario_report_keys.json")
+
+
+class TestCommandLine:
+    def test_every_scenario_has_a_smoke_line_and_golden_keys(self):
+        with open(REPORT_KEYS, encoding="utf-8") as handle:
+            assert set(SMOKE_ARGS) == set(SCENARIOS) == set(json.load(handle))
+
+    @pytest.mark.parametrize("scenario", list(SMOKE_ARGS))
+    def test_scenario_exits_green_with_its_report_keys(self, scenario):
+        """Each scenario runs through ``main()`` in a subprocess (the fleet
+        scenarios fork, which must not fork the test process) and prints
+        exactly its golden key set."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "repro.workloads.driver", "--scenario", scenario]
+        result = subprocess.run(
+            command + SMOKE_ARGS[scenario].split(),
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        with open(REPORT_KEYS, encoding="utf-8") as handle:
+            expected = json.load(handle)[scenario]
+        assert sorted(json.loads(result.stdout)) == expected
