@@ -8,7 +8,7 @@
 * :mod:`repro.calculus.trace` -- Figure 11 style derivation rendering.
 """
 
-from .clash import Clash, find_clashes, has_clash
+from .clash import Clash, find_clashes
 from .constraints import (
     AttributeConstraint,
     Constant,
@@ -40,7 +40,6 @@ __all__ = [
     "CompletionStatistics",
     "Clash",
     "find_clashes",
-    "has_clash",
     "SubsumptionResult",
     "decide_subsumption",
     "subsumes",

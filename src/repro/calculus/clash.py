@@ -22,7 +22,7 @@ from ..concepts.schema import Schema
 from ..concepts.syntax import Attribute, Primitive, Singleton
 from .constraints import Constraint, Pair, constraint_sort_key
 
-__all__ = ["Clash", "find_clashes", "has_clash"]
+__all__ = ["Clash", "find_clashes"]
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,3 @@ def _find_clashes_indexed(pair: Pair, schema: Schema) -> List[Clash]:
                     )
                 )
     return clashes
-
-
-def has_clash(pair_or_facts, schema: Schema) -> bool:
-    """``True`` iff the facts contain a clash with respect to ``schema``."""
-    return bool(find_clashes(pair_or_facts, schema))

@@ -32,12 +32,13 @@ sets it maintains, incrementally on every mutation,
 
 The rule modules (:mod:`repro.calculus.rules`) and the agenda-driven
 completion engine (:mod:`repro.calculus.engine`) probe these indexes instead
-of scanning the whole system.
+of scanning the whole system.  :meth:`Pair.fork` copies the facts and their
+indexes into a new pair without goals, which is how a warm decision starts
+from a completed facts-only pair without changing it.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from dataclasses import dataclass
 from typing import (
@@ -242,6 +243,10 @@ _EMPTY_BUCKET: FrozenSet = frozenset()
 # ---------------------------------------------------------------------------
 
 
+def _copy_buckets(buckets: Dict) -> Dict:
+    return {key: set(bucket) for key, bucket in buckets.items()}
+
+
 class _SystemIndex:
     """The index structures of one constraint system (facts or goals).
 
@@ -252,7 +257,6 @@ class _SystemIndex:
 
     __slots__ = (
         "constraints",
-        "order",
         "sorted_entries",
         "memberships_by_subject",
         "memberships_by_ctor",
@@ -260,14 +264,13 @@ class _SystemIndex:
         "edges_by_subject_attr",
         "edges_by_filler",
         "paths_by_subject",
-        "_counter",
     )
 
     def __init__(self) -> None:
         self.constraints: Set[Constraint] = set()
-        self.order: Dict[Constraint, int] = {}
         #: ``(sort_key, seq, constraint)`` triples in sorted order; the unique
-        #: seq breaks sort-key ties so constraints themselves never compare.
+        #: seq (the entry count at insertion) breaks sort-key ties so
+        #: constraints themselves never compare.
         self.sorted_entries: List[Tuple[Tuple, int, Constraint]] = []
         self.memberships_by_subject: Dict[Individual, Set[MembershipConstraint]] = {}
         self.memberships_by_ctor: Dict[Type[Concept], Set[MembershipConstraint]] = {}
@@ -277,13 +280,11 @@ class _SystemIndex:
         ] = {}
         self.edges_by_filler: Dict[Individual, Set[AttributeConstraint]] = {}
         self.paths_by_subject: Dict[Individual, Set[PathConstraint]] = {}
-        self._counter = itertools.count()
 
     def add(self, constraint: Constraint) -> None:
         self.constraints.add(constraint)
-        seq = next(self._counter)
-        self.order[constraint] = seq
-        insort(self.sorted_entries, (constraint.sort_key(), seq, constraint))
+        entries = self.sorted_entries
+        insort(entries, (constraint.sort_key(), len(entries), constraint))
         if isinstance(constraint, MembershipConstraint):
             self.memberships_by_subject.setdefault(constraint.subject, set()).add(constraint)
             self.memberships_by_ctor.setdefault(type(constraint.concept), set()).add(constraint)
@@ -300,6 +301,19 @@ class _SystemIndex:
         self.__init__()
         for constraint in constraints:
             self.add(constraint)
+
+    def copy(self) -> "_SystemIndex":
+        """An independent copy: every set, list and bucket is a new container."""
+        clone = _SystemIndex.__new__(_SystemIndex)
+        clone.constraints = set(self.constraints)
+        clone.sorted_entries = list(self.sorted_entries)
+        clone.memberships_by_subject = _copy_buckets(self.memberships_by_subject)
+        clone.memberships_by_ctor = _copy_buckets(self.memberships_by_ctor)
+        clone.edges_by_subject = _copy_buckets(self.edges_by_subject)
+        clone.edges_by_subject_attr = _copy_buckets(self.edges_by_subject_attr)
+        clone.edges_by_filler = _copy_buckets(self.edges_by_filler)
+        clone.paths_by_subject = _copy_buckets(self.paths_by_subject)
+        return clone
 
     def sorted(self) -> List[Constraint]:
         return [entry[2] for entry in self.sorted_entries]
@@ -326,7 +340,7 @@ class Pair:
         self._goal_index = _SystemIndex()
         self.root_fact_subject = root_fact_subject
         self.root_goal_subject = root_goal_subject
-        self._fresh_counter = itertools.count(1)
+        self._next_fresh = 1
         #: Variable names in use anywhere in the pair.  The set is only ever
         #: grown (a stale name merely skips a candidate), which keeps
         #: :meth:`fresh_variable` O(1) instead of a full rescan.
@@ -350,6 +364,27 @@ class Pair:
         )
         return pair
 
+    def fork(self) -> "Pair":
+        """A new pair holding a copy of this pair's facts and no goals.
+
+        The decision procedure starts a warm decision from the fork of a
+        completed facts-only pair (see
+        :func:`repro.calculus.subsume.decide_subsumption`).  The fork shares
+        no mutable structure with this pair -- the fact set, its sorted
+        entries and every index bucket are new containers -- so completing
+        the fork never changes the original.  The root subjects, the used
+        variable names and the fresh-variable counter carry over, so the
+        fork never reuses a variable name of the original.
+        """
+        clone = Pair.__new__(Pair)
+        clone._fact_index = self._fact_index.copy()
+        clone._goal_index = _SystemIndex()
+        clone.root_fact_subject = self.root_fact_subject
+        clone.root_goal_subject = self.root_goal_subject
+        clone._next_fresh = self._next_fresh
+        clone._used_variable_names = set(self._used_variable_names)
+        return clone
+
     # -- basic views ----------------------------------------------------------
 
     @property
@@ -367,9 +402,10 @@ class Pair:
     def fresh_variable(self) -> Variable:
         """A variable not occurring anywhere in the pair (O(1) amortized)."""
         while True:
-            candidate = Variable(f"y{next(self._fresh_counter)}")
-            if candidate.name not in self._used_variable_names:
-                return candidate
+            name = f"y{self._next_fresh}"
+            self._next_fresh += 1
+            if name not in self._used_variable_names:
+                return Variable(name)
 
     def _note_individuals(self, constraint: Constraint) -> None:
         for individual in constraint.individuals():

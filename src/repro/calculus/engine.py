@@ -41,6 +41,20 @@ Two execution strategies implement that contract:
     applications (same traces, statistics and decisions); the property test
     ``tests/calculus/test_engine_equivalence.py`` and the E8 benchmark check
     exactly this.
+
+**Warm starts.**  The fact-premise rules (D1--D7, S1--S4, S6) never read a
+goal, so the facts-only completion of ``{x : C}`` is the same for every
+view ``D``.  :func:`repro.calculus.subsume.decide_subsumption` can start
+from a copy of that completion plus the goal ``o : D``
+(``complete(..., facts_closed=True)``); the agenda then queues only the
+goal-premise rules (G1--G3, C1--C6, S5), and facts the goal side adds reach
+the fact rules through the usual delta routing.  This is still a derivation
+under the paper's control strategy: the copied facts were derived with
+decomposition ahead of the schema rules, each schema rule fired only while
+no decomposition rule applied, and S5 -- the one schema rule that needs a
+goal -- fires only for a goal in the warm run as well.  The decision ("``o
+: D`` is among the facts, or the facts clash") is the cold decision; the
+warm/cold oracle in ``tests/calculus/test_warm_start.py`` checks it.
 """
 
 from __future__ import annotations
@@ -181,9 +195,17 @@ class _Agenda:
         if position < self._cursor[rule]:
             self._cursor[rule] = position
 
-    def reseed(self, pair: Pair) -> None:
-        """Re-enter every constraint (used at start and after substitutions)."""
-        for rules, pool in ((self._fact_rules, pair.facts), (self._goal_rules, pair.goals)):
+    def reseed(self, pair: Pair, *, goals_only: bool = False) -> None:
+        """Re-enter every constraint (used at start and after substitutions).
+
+        ``goals_only`` enters the goals alone.  It is only correct for a pair
+        whose facts are closed under the fact-premise rules: no such rule is
+        applicable there, so their empty pending sets still over-approximate.
+        """
+        pools = [(self._goal_rules, pair.goals)]
+        if not goals_only:
+            pools.insert(0, (self._fact_rules, pair.facts))
+        for rules, pool in pools:
             for rule in rules:
                 matching = [c for c in pool if rule.matches(c)]
                 self._members[rule] = set(matching)
@@ -316,8 +338,17 @@ class CompletionEngine:
 
     # -- public API -----------------------------------------------------------
 
-    def complete(self, pair: Pair, schema: Schema) -> CompletionResult:
-        """Apply rules to ``pair`` (mutating it) until it is complete."""
+    def complete(
+        self, pair: Pair, schema: Schema, *, facts_closed: bool = False
+    ) -> CompletionResult:
+        """Apply rules to ``pair`` (mutating it) until it is complete.
+
+        ``facts_closed=True`` promises that no fact-premise rule is
+        applicable to ``pair`` as given -- its facts are a completed
+        facts-only run under the same schema and rule set, and only goals
+        were added since.  The agenda then starts from the goals alone (the
+        naive scan does not need the promise and ignores it).
+        """
         statistics = CompletionStatistics()
         trace: List[RuleApplication] = []
         budget = self.max_steps or self._default_budget(pair, schema)
@@ -325,7 +356,7 @@ class CompletionEngine:
         agenda: Optional[_Agenda] = None
         if not self.naive:
             agenda = _Agenda(self._rule_groups)
-            agenda.reseed(pair)
+            agenda.reseed(pair, goals_only=facts_closed)
 
         steps = 0
         while True:

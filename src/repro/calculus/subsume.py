@@ -5,7 +5,11 @@ The decision procedure:
 1. normalize ``C`` and ``D`` so that every path agreement has the form
    ``∃p ≐ ε`` (Section 4, preliminaries);
 2. start from the pair ``{x : C} : {x : D}`` and compute its completion with
-   the rules of Figures 7--10 under the paper's control strategy;
+   the rules of Figures 7--10 under the paper's control strategy -- or, given
+   a ``seed`` (the completed facts-only pair of ``C``), start from a copy of
+   the seed's facts plus the goal ``o : D`` and complete from the goal (the
+   fact-premise rules never read a goal, so their part of the completion is
+   the same for every ``D``; see :mod:`repro.calculus.engine`);
 3. report ``C ⊑_Σ D`` iff the completed facts contain ``o : D`` (where ``o``
    is the individual carrying the original goal, possibly renamed by the
    identification rules) or the facts contain a clash (in which case ``C``
@@ -107,12 +111,23 @@ def decide_subsumption(
     use_repair_rule: bool = True,
     keep_trace: bool = True,
     naive: bool = False,
+    seed: Optional[Pair] = None,
 ) -> SubsumptionResult:
     """Decide ``query ⊑_Σ view`` and return the full :class:`SubsumptionResult`.
 
     ``naive=True`` runs the completion with the full-scan engine of the seed
     implementation instead of the indexed agenda; both produce the same
     result (see :class:`repro.calculus.engine.CompletionEngine`).
+
+    ``seed`` warm-starts the decision.  It must be the completed pair of a
+    facts-only run of the *same* query under the *same* schema and rule set
+    (``use_repair_rule``) -- in practice ``decide_subsumption(query, P,
+    schema).completion.pair`` for a fresh primitive ``P``, whose goal fires
+    no rule.  The seed is never mutated: the completion runs on a
+    :meth:`~repro.calculus.constraints.Pair.fork` of it, so one seed serves
+    any number of views.  The trace and statistics of a warm decision cover
+    the goal-driven firings only.  Without a seed the decision runs cold
+    from ``{x : C} : {x : D}``, which is the specification of the warm path.
     """
     schema = schema if schema is not None else Schema.empty()
     normalized_query = normalize_concept(query)
@@ -121,8 +136,15 @@ def decide_subsumption(
     engine = CompletionEngine(
         use_repair_rule=use_repair_rule, keep_trace=keep_trace, naive=naive
     )
-    pair = Pair.initial(normalized_query, normalized_view)
-    completion = engine.complete(pair, schema)
+    if seed is None:
+        pair = Pair.initial(normalized_query, normalized_view)
+    else:
+        if MembershipConstraint(seed.root_fact_subject, normalized_query) not in seed.facts:
+            raise ValueError("seed is not a facts-only completion of this query")
+        # D3/S4 may have renamed the root during the seed's run.
+        pair = seed.fork()
+        pair.add_goals([MembershipConstraint(seed.root_goal_subject, normalized_view)])
+    completion = engine.complete(pair, schema, facts_closed=seed is not None)
 
     root = pair.root_goal_subject
     goal_constraint = MembershipConstraint(root, normalized_view)

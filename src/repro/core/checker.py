@@ -13,7 +13,7 @@ offers the operations a query optimizer needs:
   their subsumption hierarchy (the "virtual class integration" of related
   OODB view mechanisms discussed in Section 5).
 
-Three layers of memoization keep repeated checks cheap when the optimizer
+Four layers of memoization keep repeated checks cheap when the optimizer
 probes the same query against many views that share sub-expressions:
 
 * normalized concepts are interned and cached process-wide
@@ -22,7 +22,20 @@ probes the same query against many views that share sub-expressions:
   per-checker table and in a process-wide cache shared by every checker over
   a structurally equal schema (``shared_cache=False`` opts out),
 * per-concept *signatures* (primitive concept / attribute / constant sets)
-  and Σ-satisfiability verdicts are cached per normalized concept.
+  and *profiles* (:class:`ConceptProfile`: the Σ-satisfiability verdict,
+  root primitives and root step heads of one facts-only completion) are
+  cached per normalized concept,
+* the completed pair behind the most recently computed profile is kept in
+  a one-entry *seed slot*: the full decisions of that query start from a
+  copy of it plus the goal ``o : D`` instead of from ``{x : C} : {x : D}``
+  (``decide_subsumption(..., seed=)``; see :mod:`repro.calculus.engine`
+  for why the fact side is the same for every view).  A seed is only ever
+  the facts-only completion of the same query under this checker's schema
+  and rule set; the slot holds one pair, not one per profile, so memory
+  does not grow with the number of distinct queries.  Warm starts run only
+  with ``shortcuts=True`` and the indexed engine; ``explain()``,
+  :meth:`SubsumptionChecker.is_satisfiable`, ``naive=True`` and
+  ``shortcuts=False`` checkers complete cold.
 
 All of these tables are keyed on interned concept ids, so a cache hit costs
 an attribute read and a small-int hash rather than a structural traversal of
@@ -36,8 +49,8 @@ mentions a primitive concept or attribute that occurs neither in the query
 (``SL`` schemas cannot mention constants) -- the canonical model of a
 satisfiable ``C`` interprets that symbol by the empty set (resp. a fresh
 isolated object), so ``C ⊑_Σ D`` can only hold if ``C`` is Σ-unsatisfiable.
-:meth:`subsumes` therefore answers such checks with one (memoized)
-satisfiability probe of ``C`` instead of a full completion per view.
+:meth:`subsumes` therefore answers such checks from ``C``'s memoized
+profile (its satisfiability verdict) instead of a full completion per view.
 
 Two further **decision shortcuts**, born in the batch layer
 (:mod:`repro.optimizer.parallel`) and promoted here after the adversarial
@@ -74,6 +87,7 @@ from dataclasses import dataclass
 from ..calculus.constraints import (
     AttributeConstraint,
     MembershipConstraint,
+    Pair,
     PathConstraint,
 )
 from ..calculus.subsume import SubsumptionResult, decide_subsumption
@@ -218,8 +232,12 @@ def profile_concept(concept: Concept, checker) -> ConceptProfile:
     attributes, so both :class:`SubsumptionChecker` and the batch layer's
     ``BatchCheckerView`` qualify.
     """
-    normalized = normalize_concept(concept)
-    result = decide_subsumption(
+    return _profile_of(_complete_facts(normalize_concept(concept), checker))
+
+
+def _complete_facts(normalized: Concept, checker) -> SubsumptionResult:
+    """The facts-only completion of ``normalized`` (the probe goal fires no rule)."""
+    return decide_subsumption(
         normalized,
         _PROBE,
         checker.schema,
@@ -227,6 +245,9 @@ def profile_concept(concept: Concept, checker) -> ConceptProfile:
         keep_trace=False,
         naive=checker.naive,
     )
+
+
+def _profile_of(result: SubsumptionResult) -> ConceptProfile:
     root = result.root_goal_subject
     primitives = set()
     heads = set()
@@ -328,8 +349,14 @@ class SubsumptionChecker:
         # hash per lookup, instead of structurally hashing a deep AST.
         self._cache: Dict[Tuple[int, int], bool] = {}
         self._signatures: Dict[int, Signature] = {}
-        self._satisfiable: Dict[int, bool] = {}
         self._profiles: Dict[int, ConceptProfile] = {}
+        #: ``(query id, completed facts-only pair)`` of the most recently
+        #: profiled query: the seed of that query's full decisions.  One
+        #: slot, not one pair per profile, so memory does not grow with the
+        #: number of distinct queries; it is replaced as a whole (workers
+        #: sharing the checker read it once) and the pair is never mutated.
+        self._seed: Optional[Tuple[int, Pair]] = None
+        self._warm_start = shortcuts and not naive
         self._schema_concepts = self.schema.concept_names()
         self._schema_attributes = self.schema.attribute_names()
         self._necessary_names = necessary_attribute_names(self.schema)
@@ -379,35 +406,42 @@ class SubsumptionChecker:
         Callers (e.g. :class:`repro.optimizer.optimizer.SemanticQueryOptimizer`)
         use this to skip whole subsumption calls; a satisfiable query whose
         view fails the signature condition cannot be subsumed.  The
-        satisfiability probe itself is one completion, but it is memoized per
-        query, so scanning a catalog of ``n`` views costs at most one
-        completion instead of ``n``.
+        satisfiability verdict is read from the query's memoized profile (one
+        completion per query), so scanning a catalog of ``n`` views costs at
+        most one completion instead of ``n``.
         """
         return self.signature_excludes(query, view) and self._query_satisfiable(query)
 
     def _query_satisfiable(self, concept: Concept) -> bool:
-        normalized = normalize_concept(concept)
-        key = concept_id(normalized)
-        cached = self._satisfiable.get(key)
-        if cached is None:
-            cached = self.is_satisfiable(normalized)
-            self._satisfiable[key] = cached
-        return cached
+        # The profile's facts-only completion is the satisfiability probe:
+        # a primitive probe goal fires no rule, so both complete the same facts.
+        return self.profile(concept).satisfiable
 
     def profile(self, concept: Concept) -> ConceptProfile:
         """The memoized :class:`ConceptProfile` of the normalized concept.
 
         One facts-only completion per distinct query concept, amortized
-        over every view that query is checked against.
+        over every view that query is checked against.  Computing a profile
+        also stores its completed pair in the seed slot, from which the
+        query's full decisions start (see :meth:`subsumes`).
         """
         normalized = normalize_concept(concept)
         key = concept_id(normalized)
         cached = self._profiles.get(key)
         if cached is None:
-            cached = profile_concept(normalized, self)
+            result = _complete_facts(normalized, self)
+            cached = _profile_of(result)
+            self._seed = (key, result.completion.pair)
             self._profiles[key] = cached
             self._profiles_computed += 1
         return cached
+
+    def _seed_for(self, query_id: int) -> Optional[Pair]:
+        """The slot's completed pair if it belongs to ``query_id`` (else cold)."""
+        slot = self._seed
+        if self._warm_start and slot is not None and slot[0] == query_id:
+            return slot[1]
+        return None
 
     # -- decision-cache plumbing (used by the batch/parallel layer) -------------
 
@@ -494,6 +528,7 @@ class SubsumptionChecker:
                 use_repair_rule=self.use_repair_rule,
                 keep_trace=False,
                 naive=self.naive,
+                seed=self._seed_for(key[0]),
             ).subsumed
         if self._cache_enabled:
             self._cache[key] = decision
@@ -593,8 +628,8 @@ class SubsumptionChecker:
         """
         self._cache.clear()
         self._signatures.clear()
-        self._satisfiable.clear()
         self._profiles.clear()
+        self._seed = None
         self._schema_token = _schema_token(self.schema)
         self._schema_concepts = self.schema.concept_names()
         self._schema_attributes = self.schema.attribute_names()

@@ -248,7 +248,8 @@ class CommitScheduler:
         Never raises ``OSError``: transient faults are retried with
         backoff, persistent ones flip the scheduler degraded and *fail*
         the returned ticket (callers surface ``ticket.error`` after their
-        own bookkeeping).  Simulated-crash ``BaseException``\\ s from the
+        own bookkeeping).  A frame the log refuses as larger than its
+        readers accept counts as persistent.  Simulated-crash ``BaseException``\\ s from the
         fault harness propagate, exactly like a real ``kill -9``.
         """
         ticket = CommitTicket(record.sequence, self)
@@ -273,6 +274,16 @@ class CommitScheduler:
             try:
                 self._append_with_retries(record)
             except OSError as error:
+                self._enter_degraded(error)
+            except WalError as error:
+                # The log refused the frame before writing a byte: no retry
+                # or heal can land it, and an ACK of any later epoch would
+                # sit behind the gap, so the refusal is persistent.
+                ticket._error = DurabilityError(
+                    f"commit {record.sequence} was refused by the WAL ({error}); "
+                    "it is applied in memory but will not be recovered",
+                    last_durable_sequence=self.durable_sequence,
+                )
                 self._enter_degraded(error)
         return ticket
 
@@ -446,12 +457,17 @@ class CommitScheduler:
         Repairs any torn active-segment tail, then issues a real fsync
         through the retry policy -- the probe that proves the device
         answers again.  Returns ``True`` (and clears the degraded flag)
-        when the probe succeeds, ``False`` when the fault persists.
-        Idempotent; a no-op ``True`` when not degraded.
+        when the probe succeeds, ``False`` when the fault persists -- and
+        always ``False`` after the log refused a frame, which no probe
+        can cure.  Idempotent; a no-op ``True`` when not degraded.
         """
         with self._wal_lock:
             if self._degraded is None:
                 return True
+            if not isinstance(self._degraded, OSError):
+                # A refused frame (see append) is no I/O fault: resuming
+                # would ACK later epochs behind the epoch the log lacks.
+                return False
             try:
                 self.wal.discard_torn_tail()
                 self._sync_with_retries()

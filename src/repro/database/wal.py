@@ -341,6 +341,13 @@ class OsFileSystem:
 
 
 def _encode_frame(payload: bytes) -> bytes:
+    # The readers (_parse_frames, _load_checkpoint) drop a frame over the
+    # bound as a torn tail, so writing one would ACK what recovery loses.
+    if len(payload) > _MAX_FRAME_BYTES:
+        raise WalError(
+            f"refusing a {len(payload)}-byte frame: the log's readers reject "
+            f"frames over {_MAX_FRAME_BYTES} bytes; nothing was written"
+        )
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -467,6 +474,8 @@ class WriteAheadLog:
         can distinguish "frame landed, sync pending" (``appended_sequence``
         reached the record) from "frame torn" (it did not, and
         :meth:`discard_torn_tail` repairs the file before a re-append).
+        A record whose frame exceeds the bound the readers enforce raises
+        :class:`WalError` before any byte or counter moves.
         """
         frame = _encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         if self._active is None or self._active_size >= self.segment_bytes:
@@ -586,13 +595,15 @@ class WriteAheadLog:
         visible checkpoint is therefore always complete.  Superseded
         checkpoints and fully covered segments are deleted last, so every
         crash ordering leaves either the old or the new recovery basis
-        intact.
+        intact.  A payload over the readers' frame bound raises
+        :class:`WalError` before anything is synced or written, so the
+        previous checkpoint stays the recovery basis.
         """
+        frame = _encode_frame(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         self.sync()
         name = f"checkpoint-{payload.sequence:012d}.ckpt"
         final = os.path.join(self.path, name)
         temp = final + ".tmp"
-        frame = _encode_frame(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         try:
             self.fs.write(temp, frame)
             self.fs.fsync(temp)

@@ -48,9 +48,11 @@ from repro.database.commit import (
     DurabilityError,
     FaultPolicy,
 )
+from repro.database import wal as wal_module
 from repro.database.maintenance import DurableMaintainer
-from repro.database.store import DatabaseState
+from repro.database.store import DatabaseState, ObjectAdded
 from repro.database.wal import (
+    EpochRecord,
     WalError,
     WriteAheadLog,
     is_retryable_io_error,
@@ -372,6 +374,112 @@ class TestCheckpointUnderFaults:
             assert stored_extents(recovered_catalog) == oracle_extents(
                 recovered_catalog, recovered.state.snapshot()
             )
+        finally:
+            recovered.kill()
+
+
+class TestFrameBound:
+    """The writer refuses any frame its own reader would reject.
+
+    ``_parse_frames`` and ``_load_checkpoint`` drop a frame over
+    ``_MAX_FRAME_BYTES`` as a torn tail, so an over-bound epoch that was
+    written and ACKed would vanish at recovery together with every epoch
+    behind it.  The bound is lowered to 4 KiB here so an epoch of a few
+    hundred deltas (9-17 KB pickled) crosses it.
+    """
+
+    BOUND = 4096
+
+    def bulk_epoch(self, state):
+        with state.batch():
+            for index in range(400):
+                state.add_object(f"bulk{index:04d}", CLASSES[1])
+
+    def test_wal_refuses_before_writing_a_byte(self, monkeypatch):
+        monkeypatch.setattr(wal_module, "_MAX_FRAME_BYTES", self.BOUND)
+        fs = FaultyFileSystem()
+        wal = WriteAheadLog(LOG_DIR, sync_every=1, fs=fs)
+        wal.append(record(1))
+        before = {name: len(fs.read(name)) for name in fs.files}
+        big = EpochRecord(
+            sequence=2,
+            generation=2,
+            deltas=tuple(ObjectAdded(f"bulk{index:04d}") for index in range(400)),
+            schema_changed=False,
+        )
+        with pytest.raises(WalError):
+            wal.append(big)
+        assert {name: len(fs.read(name)) for name in fs.files} == before
+        assert wal.appended_sequence == wal.durable_sequence == 1
+        assert wal.pending_sync == 0
+
+    def test_over_bound_epoch_fails_its_ticket_and_degrades(self, monkeypatch):
+        monkeypatch.setattr(wal_module, "_MAX_FRAME_BYTES", self.BOUND)
+        fs = FaultyFileSystem()
+        state = DatabaseState(SCHEMA)
+        maintainer = DurableMaintainer(
+            state, build_catalog(), path=LOG_DIR, fs=fs, sync_every=1, checkpoint_every=None
+        )
+        try:
+            state.add_object("o1", CLASSES[0])
+            assert state.last_commit_ticket.wait_durable(timeout=5.0)
+            expected = surface(state.snapshot())
+            with pytest.raises(DurabilityError):
+                self.bulk_epoch(state)
+            refused = state.last_commit_ticket
+            assert refused.sequence == 2 and isinstance(refused.error, DurabilityError)
+            assert refused.error.last_durable_sequence == 1
+            assert maintainer.wal.appended_sequence == maintainer.wal.durable_sequence == 1
+            assert state.read_only
+            # The next write batch is rejected before it mutates the store.
+            generation = state.generation
+            with pytest.raises(DurabilityError):
+                state.add_object("o3", CLASSES[2])
+            assert state.generation == generation and "o3" not in state.objects
+            # No probe can land the refused frame: writes stay off.
+            assert not maintainer.heal()
+            assert state.read_only
+        finally:
+            maintainer.kill()
+        fs.crash()
+        recovered = open_recovered(fs, build_catalog())
+        try:
+            assert recovered.recovery_report.recovered_sequence == 1
+            assert surface(recovered.state.snapshot()) == expected
+        finally:
+            recovered.kill()
+
+    def test_over_bound_checkpoint_keeps_the_previous_basis(self, monkeypatch):
+        monkeypatch.setattr(wal_module, "_MAX_FRAME_BYTES", self.BOUND)
+        fs = FaultyFileSystem()
+        state = DatabaseState(SCHEMA)
+        catalog = build_catalog()
+        maintainer = DurableMaintainer(
+            state, catalog, path=LOG_DIR, fs=fs, sync_every=1, checkpoint_every=None
+        )
+        try:
+            state.add_object("o1", CLASSES[0])
+            first = maintainer.checkpoint()
+            # Small epochs, each under the bound, outgrow it together.
+            for batch in range(6):
+                with state.batch():
+                    for index in range(40):
+                        state.add_object(f"grow{batch}-{index:02d}", CLASSES[1])
+            with pytest.raises(WalError):
+                maintainer.checkpoint()
+            assert not any(name.endswith(".tmp") for name in fs.files)
+            # A refused checkpoint is not a durability fault.
+            assert not state.read_only
+            state.add_object("o9", CLASSES[2])
+            expected = surface(state.snapshot())
+        finally:
+            maintainer.kill()
+        fs.crash()
+        recovered = open_recovered(fs, build_catalog())
+        try:
+            report = recovered.recovery_report
+            assert report.checkpoint_sequence == first.sequence
+            assert surface(recovered.state.snapshot()) == expected
         finally:
             recovered.kill()
 

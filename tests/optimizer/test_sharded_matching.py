@@ -8,12 +8,16 @@ every backend must agree.
 """
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.checker import clear_shared_decision_cache
+from repro.concepts.intern import concept_id
+from repro.concepts.normalize import normalize_concept
+from repro.core.checker import SubsumptionChecker, clear_shared_decision_cache
+from repro.database.views import ViewCatalog
 from repro.optimizer import SemanticQueryOptimizer, ShardedMatcher, ViewFilterPlan
 from repro.optimizer.parallel import available_backends
 from repro.workloads.synthetic import (
@@ -159,3 +163,54 @@ class TestShardedMatchingEquivalence:
         assert optimizer.plan_batch([]) == []
         matcher = ShardedMatcher(optimizer.checker, optimizer.catalog)
         assert matcher.match_batch([]) == []
+
+
+class TestSharedSeedSlot:
+    """Thread workers that share one checker share its one seed slot.
+
+    ``SubsumptionChecker`` keeps the completed facts-only pair of the most
+    recently profiled query and starts that query's full decisions from it.
+    Under a 1 µs switch interval, four thread shards overwrite the slot
+    between one worker's profile and its full decision all the time; a
+    worker that completed against another query's seed would show up as a
+    lattice edge or a match that the cold, shortcut-free spec disagrees with.
+    """
+
+    def test_thread_shards_under_rapid_switching_equal_the_cold_spec(self):
+        schema = random_schema(SchemaProfile(classes=6, attributes=4), seed=3)
+        catalog = generate_hierarchical_catalog(schema, 16, seed=4)
+        queries = generate_matching_queries(schema, catalog, 12, seed=5)
+        items = list(catalog.items())
+
+        spec = SubsumptionChecker(schema, shared_cache=False, shortcuts=False)
+        spec_catalog = ViewCatalog(checker=spec, lattice=True)
+        for name, concept in items:
+            spec_catalog.register_concept(name, concept)
+
+        clear_shared_decision_cache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            optimizer = SemanticQueryOptimizer(schema, lattice=True)
+            optimizer.register_views_batch(items, backend="thread", shards=4)
+            matcher = ShardedMatcher(
+                optimizer.checker, optimizer.catalog, shards=4, backend="thread"
+            )
+            matched = matcher.match_names(queries)
+        finally:
+            sys.setswitchinterval(interval)
+
+        lattice, spec_lattice = optimizer.catalog.lattice, spec_catalog.lattice
+        for name, _concept in items:
+            assert set(lattice.parents_of(name)) == set(spec_lattice.parents_of(name))
+            assert set(lattice.children_of(name)) == set(spec_lattice.children_of(name))
+        for query, names in zip(queries, matched):
+            expected = {name for name, concept in items if spec.subsumes(query, concept)}
+            assert set(names) == expected
+        for query in queries + [concept for _name, concept in items]:
+            for _name, view in items:
+                decision = optimizer.checker.cached_decision(
+                    concept_id(normalize_concept(query)), concept_id(normalize_concept(view))
+                )
+                if decision is not None:
+                    assert decision == spec.subsumes(query, view)
