@@ -37,6 +37,18 @@ probes the same query against many views that share sub-expressions:
   :meth:`SubsumptionChecker.is_satisfiable`, ``naive=True`` and
   ``shortcuts=False`` checkers complete cold.
 
+A fifth, optional layer sits *behind* all of these: the **remote tier**
+(``remote=``, a :class:`~repro.database.cacheserver.RemoteDecisionCache`
+shared by a fleet of processes).  :meth:`SubsumptionChecker.subsumes`
+asks it only after the memos and every shortcut below missed, just before
+a completion; a hit is memoized like any other decision, and a miss
+completes locally and publishes the result write-behind.  Only
+completions are published.  ``explain()`` and ``is_satisfiable()`` never
+consult it, and :meth:`SubsumptionChecker.clear_cache` keeps it attached.
+This checker is the only place a decision is resolved: the batch layer's
+``BatchCheckerView`` is a worker's decision overlay over it, and the view
+lattice's told seeds (:meth:`SubsumptionChecker.seed`) land in its memo.
+
 All of these tables are keyed on interned concept ids, so a cache hit costs
 an attribute read and a small-int hash rather than a structural traversal of
 the AST.
@@ -229,8 +241,8 @@ def profile_concept(concept: Concept, checker) -> ConceptProfile:
     """Profile ``concept`` with one completion under ``checker``'s regime.
 
     ``checker`` only needs ``schema`` / ``use_repair_rule`` / ``naive``
-    attributes, so both :class:`SubsumptionChecker` and the batch layer's
-    ``BatchCheckerView`` qualify.
+    attributes.  Not memoized: :meth:`SubsumptionChecker.profile` is the
+    memo every decision path reads.
     """
     return _profile_of(_complete_facts(normalize_concept(concept), checker))
 
@@ -336,6 +348,7 @@ class SubsumptionChecker:
         naive: bool = False,
         shared_cache: bool = True,
         shortcuts: bool = True,
+        remote=None,
     ) -> None:
         self.schema = schema if schema is not None else Schema.empty()
         self.use_repair_rule = use_repair_rule
@@ -357,6 +370,10 @@ class SubsumptionChecker:
         #: sharing the checker read it once) and the pair is never mutated.
         self._seed: Optional[Tuple[int, Pair]] = None
         self._warm_start = shortcuts and not naive
+        #: The shared decision-cache client asked just before a completion
+        #: (``None``: every decision stays local).  Assignable, so a
+        #: replica can attach it after classifying its catalog.
+        self.remote = remote
         self._schema_concepts = self.schema.concept_names()
         self._schema_attributes = self.schema.attribute_names()
         self._necessary_names = necessary_attribute_names(self.schema)
@@ -367,6 +384,8 @@ class SubsumptionChecker:
         self._told_shortcuts = 0
         self._profile_rejections = 0
         self._profiles_computed = 0
+        self._remote_hits = 0
+        self._remote_misses = 0
 
     # -- memoized building blocks ----------------------------------------------
 
@@ -436,6 +455,10 @@ class SubsumptionChecker:
             self._profiles_computed += 1
         return cached
 
+    def cached_profile(self, concept: Concept) -> Optional[ConceptProfile]:
+        """The memoized profile of the normalized concept, if any (never completes)."""
+        return self._profiles.get(concept_id(normalize_concept(concept)))
+
     def _seed_for(self, query_id: int) -> Optional[Pair]:
         """The slot's completed pair if it belongs to ``query_id`` (else cold)."""
         slot = self._seed
@@ -484,6 +507,15 @@ class SubsumptionChecker:
         for (query_id, view_id), decision in decisions.items():
             self.record_decision(query_id, view_id, decision)
 
+    def seed(self, query_id: int, view_id: int, decision: bool) -> None:
+        """Record a told seed of the view lattice unless the pair is already decided.
+
+        Told seeding is a shortcut, so ``shortcuts=False`` checkers ignore
+        it; the lattice walk then asks them every pair as before.
+        """
+        if self._shortcuts_enabled and self.cached_decision(query_id, view_id) is None:
+            self.record_decision(query_id, view_id, decision)
+
     # -- basic decisions -------------------------------------------------------
 
     def subsumes(self, query: Concept, view: Concept) -> bool:
@@ -521,19 +553,33 @@ class SubsumptionChecker:
             self._profile_rejections += 1
             decision = False
         else:
-            decision = decide_subsumption(
-                normalized_query,
-                normalized_view,
-                self.schema,
-                use_repair_rule=self.use_repair_rule,
-                keep_trace=False,
-                naive=self.naive,
-                seed=self._seed_for(key[0]),
-            ).subsumed
+            decision = self._complete(normalized_query, normalized_view, key)
         if self._cache_enabled:
             self._cache[key] = decision
         if self._shared_cache_enabled:
             _SHARED_DECISIONS[shared_key] = decision
+        return decision
+
+    def _complete(self, query: Concept, view: Concept, key: Tuple[int, int]) -> bool:
+        """The remote tier, then a (warm-started) completion published to it."""
+        remote = self.remote
+        if remote is not None:
+            decision = remote.get(*key)
+            if decision is not None:
+                self._remote_hits += 1
+                return decision
+            self._remote_misses += 1
+        decision = decide_subsumption(
+            query,
+            view,
+            self.schema,
+            use_repair_rule=self.use_repair_rule,
+            keep_trace=False,
+            naive=self.naive,
+            seed=self._seed_for(key[0]),
+        ).subsumed
+        if remote is not None:
+            remote.set(key[0], key[1], decision)
         return decision
 
     def explain(self, query: Concept, view: Concept) -> SubsumptionResult:
@@ -607,7 +653,7 @@ class SubsumptionChecker:
 
     @property
     def statistics(self) -> Dict[str, int]:
-        """Counters: checks asked, cache hits, signature-filter short-circuits."""
+        """Counters: checks asked, cache hits, short-circuits, remote-tier traffic."""
         return {
             "checks": self._checks,
             "cache_hits": self._cache_hits,
@@ -617,6 +663,8 @@ class SubsumptionChecker:
             "told_shortcuts": self._told_shortcuts,
             "profile_rejections": self._profile_rejections,
             "profiles_computed": self._profiles_computed,
+            "remote_hits": self._remote_hits,
+            "remote_misses": self._remote_misses,
         }
 
     def clear_cache(self) -> None:
@@ -624,7 +672,8 @@ class SubsumptionChecker:
 
         The process-wide shared decision cache is left intact (its entries
         are keyed on schema identity and stay valid); use
-        :func:`clear_shared_decision_cache` to drop that one too.
+        :func:`clear_shared_decision_cache` to drop that one too.  The
+        remote tier stays attached.
         """
         self._cache.clear()
         self._signatures.clear()

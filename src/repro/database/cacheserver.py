@@ -19,13 +19,13 @@ Two halves, one wire protocol (normatively specified in
   Entries are booleans (``0``/``1``); an LRU bound (``max_entries``)
   caps memory.  The server is *version-oblivious*: invalidation is by
   namespace, below.
-* :class:`RemoteDecisionCache` -- the client that plugs into the
-  :class:`~repro.optimizer.parallel.BatchCheckerView` overlay seam
-  (``BatchCheckerView(..., remote=cache)``): consulted only when a
+* :class:`RemoteDecisionCache` -- the client that is the last layer of
+  :class:`~repro.core.checker.SubsumptionChecker`
+  (``SubsumptionChecker(schema, remote=cache)``): consulted only when a
   decision would otherwise run a *full completion* (local memos and the
-  cheap profile filters are tried first, so remote round trips are paid
-  exactly where they buy the most), and populated write-behind with
-  ``noreply`` sets.  The client degrades to a no-op on any socket error
+  cheap told, signature and profile shortcuts are tried first, so remote
+  round trips are paid exactly where they buy the most), and populated
+  write-behind with ``noreply`` sets.  The client degrades to a no-op on any socket error
   -- a dead cache server slows the fleet down, it never breaks serving
   -- and pickles by address (the socket is re-dialed lazily after a
   fork/spawn), so process-backend shard workers can carry it.
@@ -358,7 +358,7 @@ class _Connection:
 
 
 class RemoteDecisionCache:
-    """Client half of the shared cache; the ``BatchCheckerView`` remote seam.
+    """Client half of the shared cache; the ``SubsumptionChecker`` remote tier.
 
     One instance wraps one namespace on one server.  ``get``/``get_many``
     are synchronous round trips; ``set`` is write-behind (``noreply``

@@ -23,22 +23,31 @@ prune whole subtrees:
 * **Removal** (:meth:`ViewLattice.remove`) splices a node out and re-links
   its parents to its children unless another path already connects them,
   preserving the transitive reduction.
+* **Told seeding** (:meth:`ViewLattice.seed_told`): normalized concepts are
+  canonical conjunctions, so ``conjunct_ids(N) ⊆ conjunct_ids(C)`` proves
+  ``C ⊑_Σ N`` for every schema, and every ancestor of such a node subsumes
+  ``C`` too.  The lattice keeps one conjunct-id posting index over its
+  nodes, current across insertions and splice-outs, and every match walk
+  records these entailed decisions through its checker before walking.
 
 All subsumption questions are delegated to a
-:class:`~repro.core.checker.SubsumptionChecker` supplied by the caller, so
-the lattice automatically benefits from the checker's signature filter,
-interned-id memo tables and the shared decision cache.
+:class:`~repro.core.checker.SubsumptionChecker` supplied by the caller (or a
+batch worker's overlay over one), so the lattice automatically benefits
+from the checker's signature filter, interned-id memo tables, the shared
+decision cache and its remote tier.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..concepts.intern import concept_id
 from ..concepts.syntax import Concept
+from ..core.checker import conjunct_ids
 
-__all__ = ["LatticeMatchStats", "LatticeNode", "ViewLattice"]
+__all__ = ["LatticeMatchStats", "LatticeNode", "ViewLattice", "seed_against_lattice"]
 
 
 @dataclass
@@ -84,6 +93,11 @@ class ViewLattice:
     def __init__(self) -> None:
         self._node_of: Dict[str, LatticeNode] = {}
         self._roots: Set[LatticeNode] = set()
+        #: The told-seed index: each node's ``(interned id, conjunct ids)``,
+        #: and the nodes holding each conjunct id.  Kept current by
+        #: :meth:`insert` and :meth:`remove`; a node's concept never changes.
+        self._told_keys: Dict[LatticeNode, Tuple[int, FrozenSet[int]]] = {}
+        self._postings: Dict[int, Set[LatticeNode]] = {}
 
     # -- introspection -------------------------------------------------------
 
@@ -186,6 +200,10 @@ class ViewLattice:
         if not node.parents:
             self._roots.add(node)
         self._node_of[view.name] = node
+        told_key = (concept_id(concept), conjunct_ids(concept))
+        self._told_keys[node] = told_key
+        for conjunct in told_key[1]:
+            self._postings.setdefault(conjunct, set()).add(node)
 
     def classification_probe(self, concept: Concept, checker) -> None:
         """Run the two insertion traversals for ``concept`` without mutating.
@@ -305,6 +323,11 @@ class ViewLattice:
         node.views = [view for view in node.views if view.name != name]
         if node.views:
             return
+        for conjunct in self._told_keys.pop(node)[1]:
+            bucket = self._postings[conjunct]
+            bucket.discard(node)
+            if not bucket:
+                del self._postings[conjunct]
         parents = list(node.parents)
         children = list(node.children)
         for parent in parents:
@@ -321,19 +344,54 @@ class ViewLattice:
             if not child.parents:
                 self._roots.add(child)
 
+    # -- told seeding ----------------------------------------------------------
+
+    def seed_told(self, concept: Concept, checker) -> None:
+        """Record every told subsumption between ``concept`` and the nodes.
+
+        ``concept`` must be normalized.  ``checker.seed(query_id, view_id,
+        True)`` receives ``concept ⊑ N`` for each node ``N`` whose conjuncts
+        the concept contains, and for each ancestor of such a node;
+        ``N ⊑ concept`` for each node containing the concept's conjuncts
+        (these answer the equivalence probes and subsumee searches of
+        insertion).  One tally over the postings of the concept's conjuncts
+        decides both inclusions per node -- a node's count equals its own
+        size, resp. the concept's -- and nodes sharing no conjunct are never
+        touched.  :func:`seed_against_lattice` is the linear specification.
+        """
+        query_id = concept_id(concept)
+        query_conjuncts = conjunct_ids(concept)
+        shared: Dict[LatticeNode, int] = {}
+        for conjunct in query_conjuncts:
+            for node in self._postings.get(conjunct, ()):
+                shared[node] = shared.get(node, 0) + 1
+        told: List[LatticeNode] = []
+        for node, count in shared.items():
+            node_id, node_conjuncts = self._told_keys[node]
+            if count == len(node_conjuncts):
+                checker.seed(query_id, node_id, True)
+                told.append(node)
+            if count == len(query_conjuncts):
+                checker.seed(node_id, query_id, True)
+        _seed_ancestors(checker, query_id, told)
+
     # -- matching ------------------------------------------------------------
 
     def subsumers(
         self, concept: Concept, checker, stats: Optional[LatticeMatchStats] = None
     ) -> List[object]:
-        """All registered views whose concept subsumes ``concept``.
+        """All registered views whose concept subsumes the normalized ``concept``.
 
-        Frontier-only top-down traversal: a node is evaluated exactly when
-        its last parent has been found to subsume the query (roots are always
-        evaluated); everything below a failing node is pruned without so much
-        as a signature test.  The checker's ``quick_reject`` signature filter
-        is consulted before each full check, mirroring the flat scan.
+        Seeds the told subsumptions first (:meth:`seed_told`), then walks
+        the frontier top-down: a node is evaluated exactly when its last
+        parent has been found to subsume the query (roots are always
+        evaluated); everything below a failing node is pruned without so
+        much as a signature test.  The checker's ``quick_reject`` signature
+        filter is consulted before each full check, mirroring the flat
+        scan.  Seeding answers checks, it never skips one, so ``stats``
+        counts the same checks with or without it.
         """
+        self.seed_told(concept, checker)
         stats = stats if stats is not None else LatticeMatchStats()
         total_views = len(self._node_of)
         matches: List[object] = []
@@ -362,9 +420,11 @@ class ViewLattice:
     # -- invariants (used by the tests) ---------------------------------------
 
     def check_invariants(self, checker) -> None:
-        """Assert structural soundness of the DAG (edges, reduction, roots)."""
+        """Assert structural soundness of the DAG (edges, reduction, roots, index)."""
         nodes = self._nodes()
         assert self._roots == {node for node in nodes if not node.parents}
+        assert set(self._told_keys) == nodes
+        assert all(bucket and bucket <= nodes for bucket in self._postings.values())
         for node in nodes:
             assert node.views, "empty equivalence class left in the lattice"
             for child in node.children:
@@ -375,3 +435,36 @@ class ViewLattice:
                 assert not self._reachable_from_any(others, child)
             for parent in node.parents:
                 assert node in parent.children
+
+
+def _seed_ancestors(checker, query_id: int, told: List[LatticeNode]) -> None:
+    """Close told subsumers upwards: ``C ⊑ N`` and ``N ⊑ P`` give ``C ⊑ P``."""
+    seen = set(told)
+    frontier = list(told)
+    while frontier:
+        node = frontier.pop()
+        for parent in node.parents:
+            if parent not in seen:
+                seen.add(parent)
+                checker.seed(query_id, concept_id(parent.concept), True)
+                frontier.append(parent)
+
+
+def seed_against_lattice(checker, lattice: ViewLattice, concept: Concept) -> None:
+    """The linear specification of :meth:`ViewLattice.seed_told`.
+
+    Compares the normalized ``concept``'s conjunct ids with every node's
+    instead of reading the posting index; property-tested to record the
+    identical seeds after every insertion and splice-out.
+    """
+    query_id = concept_id(concept)
+    query_conjuncts = conjunct_ids(concept)
+    told: List[LatticeNode] = []
+    for node in lattice.nodes():
+        node_id, node_conjuncts = concept_id(node.concept), conjunct_ids(node.concept)
+        if node_conjuncts <= query_conjuncts:
+            checker.seed(query_id, node_id, True)
+            told.append(node)
+        if query_conjuncts <= node_conjuncts:
+            checker.seed(node_id, query_id, True)
+    _seed_ancestors(checker, query_id, told)

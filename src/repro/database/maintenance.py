@@ -908,12 +908,7 @@ class AsyncMaintainer(_MaintenanceEngine):
         self._failure: Optional[BaseException] = None
         snapshot = state.snapshot()
         if bootstrap:
-            memo: Dict[int, FrozenSet[str]] = {}
-            for view in catalog:
-                key = concept_id(view.concept)
-                if key not in memo:
-                    memo[key] = self._evaluator.concept_answers(view.concept, snapshot)
-                view.adopt_extent(memo[key], snapshot.generation)
+            catalog.regenerate_extents(snapshot)
         self._serving = snapshot
         state.subscribe(self)
         catalog.add_maintenance_listener(self)

@@ -25,6 +25,9 @@ snapshot plus a typed-delta tail**:
 concepts into a local optimizer, regenerates extents, and then serves
 queries against its **pinned local generation** while a local
 maintenance queue keeps extents incremental across applied epochs.
+Queries match through the local optimizer's own walk
+(``subsuming_views_for_concept``); a shared remote decision cache, when
+configured, is the optimizer's checker's last layer before a completion.
 Staleness is explicit: every applied epoch carries the primary's
 sequence and generation stamps, :attr:`SnapshotReplica.lag` is the
 number of primary epochs not yet applied, and the **catch-up protocol**
@@ -74,10 +77,11 @@ __all__ = [
 #: Bumped on any incompatible wire change; exchanged in the handshake.
 PROTOCOL_VERSION = "repro-replica/1"
 
-#: The largest frame payload a receiver accepts (docs/PROTOCOL.md section
-#: 2.1), checked before any payload byte is read: a peer on the replica port
-#: must not make a reader buffer more.  The WAL's on-disk frame bound is
-#: larger and applies to log files only.
+#: The largest frame payload the stream carries (docs/PROTOCOL.md section
+#: 2.1).  A receiver checks it before reading any payload byte, so a peer on
+#: the replica port cannot make a reader buffer more; a server answers
+#: ``ERROR`` instead of sending a frame over it.  The WAL's on-disk frame
+#: bound is larger and applies to log files only.
 _MAX_WIRE_FRAME_BYTES = 64 << 20
 
 
@@ -244,16 +248,23 @@ class _ReplicaHandler(socketserver.StreamRequestHandler):
 
     def _respond(self, shared: _ReplicaState, have_sequence: int) -> None:
         kind, payload, records = shared.response_for(have_sequence)
+        # Encode everything before writing anything: a frame the reader
+        # would refuse becomes one ERROR line, never a half-sent response.
+        objects = ([payload] if kind == "SNAPSHOT" else []) + records
+        payloads = [pickle.dumps(item, protocol=4) for item in objects]
+        oversized = max(map(len, payloads), default=0)
+        if oversized > _MAX_WIRE_FRAME_BYTES:
+            bound = _MAX_WIRE_FRAME_BYTES
+            unit = f"{bound >> 20} MiB" if bound >= 1 << 20 else f"{bound >> 10} KiB"
+            self._line(f"ERROR frame of {oversized} bytes exceeds the {unit} wire bound")
+            return
         if kind == "SNAPSHOT":
-            self._line(
-                f"SNAPSHOT {payload['sequence']} {payload['generation']} {len(records)}"
-            )
-            self.wfile.write(_encode_frame(pickle.dumps(payload, protocol=4)))
+            header = f"SNAPSHOT {payload['sequence']} {payload['generation']} {len(records)}"
         else:
-            sequence, _ = shared.position()
-            self._line(f"DELTA {sequence} {len(records)}")
-        for record in records:
-            self.wfile.write(_encode_frame(pickle.dumps(record, protocol=4)))
+            header = f"DELTA {shared.position()[0]} {len(records)}"
+        self.wfile.write(header.encode("utf-8") + b"\r\n")
+        for data in payloads:
+            self.wfile.write(_encode_frame(data))
         self.wfile.flush()
 
     def _line(self, text: str) -> None:
@@ -368,7 +379,6 @@ class SnapshotReplica:
         self.reconnects = 0
         self._degraded: Optional[DegradedServing] = None
         self._last_known_lag: Optional[int] = None
-        self._matcher = None
         self._sock: Optional[socket.socket] = None
         self._rfile = None
         self._wfile = None
@@ -521,26 +531,12 @@ class SnapshotReplica:
         self.optimizer = SemanticQueryOptimizer(payload["schema"])
         for name, concept in payload["catalog"]:
             self.optimizer.register_view_concept(name, concept)
+        self.optimizer.checker.remote = self.remote
         self.optimizer.catalog.regenerate_extents(self.state)
         self.maintenance = MaintenanceQueue(self.state, self.optimizer.catalog)
         self.applied_sequence = payload["sequence"]
         self.applied_generation = payload["generation"]
         self.snapshot_loads += 1
-        # One pooled matcher per rebuilt catalog, not one per served query:
-        # the remote client's connection pool is shared across the serving
-        # threads, and match results never touch shared matcher state.
-        if self.remote is not None:
-            from ..optimizer.parallel import ShardedMatcher
-
-            self._matcher = ShardedMatcher(
-                self.optimizer.checker,
-                self.optimizer.catalog,
-                shards=1,
-                backend="serial",
-                remote=self.remote,
-            )
-        else:
-            self._matcher = None
 
     def _apply_epoch(self, record: EpochRecord) -> int:
         if record.sequence <= self.applied_sequence:
@@ -650,14 +646,14 @@ class SnapshotReplica:
     def answer_concept(self, concept, *, check: bool = False):
         """Answers for one ``QL`` concept against the pinned generation.
 
-        Matches subsuming views over the local catalog (through the shared
-        remote decision cache when one is attached), evaluates over the
-        view-filtered candidate set, and -- with ``check=True`` --
-        verifies the result against the unfiltered evaluation of the same
-        pinned state (the serving-soundness invariant).  Returns
-        ``(answers, generation)``.
+        Matches subsuming views through the local optimizer (whose checker
+        asks the shared remote decision cache before any completion when
+        one is attached), evaluates over the view-filtered candidate set,
+        and -- with ``check=True`` -- verifies the result against the
+        unfiltered evaluation of the same pinned state (the
+        serving-soundness invariant).  Returns ``(answers, generation)``.
         """
-        matches = self._match(concept)
+        matches = self.optimizer.subsuming_views_for_concept(concept)
         evaluator = self.optimizer.evaluator
         if matches:
             answers = evaluator.concept_answers(
@@ -672,8 +668,3 @@ class SnapshotReplica:
                     f"unsound replica answer at generation {self.applied_generation}"
                 )
         return answers, self.applied_generation
-
-    def _match(self, concept):
-        if self._matcher is not None:
-            return self._matcher.match_batch([concept])[0]
-        return self.optimizer.subsuming_views_for_concept(concept)

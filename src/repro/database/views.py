@@ -340,12 +340,7 @@ class ViewCatalog:
         counters across calls.  The catalog must not be queried or mutated
         concurrently with a running batch.
         """
-        from ..optimizer.parallel import (
-            BatchCheckerView,
-            BatchStatistics,
-            LatticeSeedIndex,
-            classify_batch,
-        )
+        from ..optimizer.parallel import BatchCheckerView, BatchStatistics, classify_batch
 
         # Last occurrence of a duplicated name wins and takes that
         # occurrence's position, exactly like sequential re-registration.
@@ -364,7 +359,6 @@ class ViewCatalog:
         if statistics is None:
             statistics = BatchStatistics()
         if self.use_lattice and batch:
-            profiles: Dict[int, object] = {}
             classify_batch(
                 self,
                 batch,
@@ -372,27 +366,17 @@ class ViewCatalog:
                 shards=shards,
                 max_workers=max_workers,
                 statistics=statistics,
-                profiles=profiles,
             )
-            merge_checker = BatchCheckerView(
-                self.checker, profiles, statistics=statistics, direct=True
-            )
-            # The merge phase seeds each insertion's told subsumptions from
-            # an *incrementally maintained* conjunct-id posting index over
-            # the live DAG: per-insertion cost follows the posting lists the
-            # concept hits, not the catalog size (seed_against_lattice, the
-            # linear pass, remains the executable spec).
-            seeder = LatticeSeedIndex(self._lattice)
+            merge_checker = BatchCheckerView(self.checker, statistics=statistics, direct=True)
             for view in batch:
                 if view.name in self._views:
-                    node_before = self._lattice.node_of(view.name)
                     self.unregister(view.name)
-                    if node_before is not None and not node_before.views:
-                        seeder.discard_node(node_before)
-                seeder.seed_positives(merge_checker, view.concept)
+                # The lattice's own posting index keeps up with the merge's
+                # insertions and splice-outs, so each seeding pass follows
+                # the posting lists the concept hits, not the catalog size.
+                self._lattice.seed_told(view.concept, merge_checker)
                 self._views[view.name] = view
                 self._lattice.insert(view, merge_checker)
-                seeder.add_node(self._lattice.node_of(view.name))
                 self._view_admitted(view)
         else:
             for view in batch:
@@ -403,6 +387,33 @@ class ViewCatalog:
         return batch
 
     # -- matching ---------------------------------------------------------------
+
+    def subsumers(
+        self, concept: Concept, checker, statistics: Optional[LatticeMatchStats] = None
+    ) -> List[MaterializedView]:
+        """All views whose concept subsumes ``concept``, decided by ``checker``.
+
+        The one match walk behind the optimizer and the sharded matcher:
+        the seeded lattice traversal, or for ``lattice=False`` catalogs the
+        flat scan in registration order (the executable specification,
+        which seeds nothing -- without a lattice a told seed is exactly a
+        pair the checker's own told shortcut answers).  ``checker`` is a
+        :class:`~repro.core.checker.SubsumptionChecker` or a batch worker's
+        overlay over one; ``statistics`` accumulates the walk's counters.
+        """
+        statistics = statistics if statistics is not None else LatticeMatchStats()
+        concept = normalize_concept(concept)
+        if self.use_lattice:
+            return self._lattice.subsumers(concept, checker, statistics)
+        matches = []
+        for view in self._views.values():
+            if checker.quick_reject(concept, view.concept):
+                statistics.signature_skips += 1
+                continue
+            statistics.checks += 1
+            if checker.subsumes(concept, view.concept):
+                matches.append(view)
+        return matches
 
     def lattice_subsumers(
         self, concept: Concept, statistics: Optional[LatticeMatchStats] = None
@@ -421,7 +432,7 @@ class ViewCatalog:
                 "this catalog was built with lattice=False; use the flat scan "
                 "(SemanticQueryOptimizer.subsuming_views) or set_lattice_enabled(True)"
             )
-        return self._lattice.subsumers(concept, self.checker, statistics)
+        return self.subsumers(concept, self.checker, statistics)
 
     @property
     def lattice(self) -> ViewLattice:

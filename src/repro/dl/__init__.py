@@ -9,7 +9,6 @@
 
 from .abstraction import (
     UNIVERSAL_CLASS,
-    labeled_path_to_path,
     path_step_to_restriction,
     query_class_to_concept,
     query_classes_to_concepts,
@@ -35,8 +34,6 @@ from .ast import (
 )
 from .fol_translation import (
     THIS,
-    attribute_decl_to_formulas,
-    class_decl_to_formulas,
     constraint_to_fol,
     query_class_to_formula,
     schema_to_formulas,
@@ -80,13 +77,10 @@ __all__ = [
     "schema_to_sl",
     "query_class_to_concept",
     "query_classes_to_concepts",
-    "labeled_path_to_path",
     "path_step_to_restriction",
     # first-order semantics
     "THIS",
     "constraint_to_fol",
-    "class_decl_to_formulas",
-    "attribute_decl_to_formulas",
     "schema_to_formulas",
     "query_class_to_formula",
 ]

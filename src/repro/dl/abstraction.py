@@ -38,7 +38,6 @@ __all__ = [
     "UNIVERSAL_CLASS",
     "schema_to_sl",
     "path_step_to_restriction",
-    "labeled_path_to_path",
     "query_class_to_concept",
     "query_classes_to_concepts",
 ]
@@ -98,7 +97,7 @@ def path_step_to_restriction(step: PathStep, synonyms: Dict[str, str]) -> Attrib
     return AttributeRestriction(attribute, filler)
 
 
-def labeled_path_to_path(labeled: LabeledPath, synonyms: Dict[str, str]) -> Path:
+def _labeled_path_to_path(labeled: LabeledPath, synonyms: Dict[str, str]) -> Path:
     """Translate the steps of a ``derived`` entry into a ``QL`` path."""
     return Path(tuple(path_step_to_restriction(step, synonyms) for step in labeled.steps))
 
@@ -130,7 +129,7 @@ def query_class_to_concept(
     paths_by_label: Dict[str, Path] = {}
     unlabeled: List[Path] = []
     for labeled in query.derived:
-        path = labeled_path_to_path(labeled, synonyms)
+        path = _labeled_path_to_path(labeled, synonyms)
         if labeled.label is None:
             unlabeled.append(path)
         else:

@@ -59,8 +59,6 @@ from .ast import (
 __all__ = [
     "THIS",
     "constraint_to_fol",
-    "class_decl_to_formulas",
-    "attribute_decl_to_formulas",
     "schema_to_formulas",
     "query_class_to_formula",
 ]
@@ -125,7 +123,7 @@ def constraint_to_fol(
     raise TypeError(f"not a DL constraint: {constraint!r}")
 
 
-def class_decl_to_formulas(decl: ClassDecl) -> List[Formula]:
+def _class_decl_to_formulas(decl: ClassDecl) -> List[Formula]:
     """The Figure 2 translation of a class declaration."""
     x, y = Var("x"), Var("y")
     formulas: List[Formula] = []
@@ -182,7 +180,7 @@ def class_decl_to_formulas(decl: ClassDecl) -> List[Formula]:
     return formulas
 
 
-def attribute_decl_to_formulas(decl: AttributeDecl) -> List[Formula]:
+def _attribute_decl_to_formulas(decl: AttributeDecl) -> List[Formula]:
     """The Figure 2 translation of an attribute declaration (typing + inverse)."""
     x, y = Var("x"), Var("y")
     formulas: List[Formula] = [
@@ -217,9 +215,9 @@ def schema_to_formulas(schema: DLSchema) -> List[Formula]:
     """The first-order theory of the structural and non-structural schema parts."""
     formulas: List[Formula] = []
     for decl in schema.classes.values():
-        formulas.extend(class_decl_to_formulas(decl))
+        formulas.extend(_class_decl_to_formulas(decl))
     for decl in schema.attributes.values():
-        formulas.extend(attribute_decl_to_formulas(decl))
+        formulas.extend(_attribute_decl_to_formulas(decl))
     return formulas
 
 

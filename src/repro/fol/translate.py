@@ -50,8 +50,6 @@ from .syntax import (
 
 __all__ = [
     "concept_to_formula",
-    "attribute_to_formula",
-    "restriction_to_formula",
     "path_to_formula",
     "sl_concept_to_formula",
     "axiom_to_formula",
@@ -64,19 +62,19 @@ def _fresh_names(prefix: str = "z") -> Iterator[Var]:
         yield Var(f"{prefix}{index}")
 
 
-def attribute_to_formula(attribute: Attribute, first: Var, second: Var) -> Formula:
+def _attribute_to_formula(attribute: Attribute, first: Var, second: Var) -> Formula:
     """``F_R(α, β)``: ``P(α, β)`` for a primitive attribute, ``P(β, α)`` for its inverse."""
     if attribute.inverted:
         return BinaryAtom(attribute.primitive_name, second, first)
     return BinaryAtom(attribute.primitive_name, first, second)
 
 
-def restriction_to_formula(
+def _restriction_to_formula(
     restriction: AttributeRestriction, first: Var, second: Var, fresh: Iterator[Var]
 ) -> Formula:
     """``F_(R:C)(α, β) = F_R(α, β) ∧ F_C(β)``."""
     return AndF(
-        attribute_to_formula(restriction.attribute, first, second),
+        _attribute_to_formula(restriction.attribute, first, second),
         _concept_formula(restriction.concept, second, fresh),
     )
 
@@ -87,12 +85,12 @@ def path_to_formula(path: Path, first: Var, second: Var, fresh: Iterator[Var] = 
     if path.is_empty:
         return Equals(first, second)
     if len(path) == 1:
-        return restriction_to_formula(path.head, first, second, fresh)
+        return _restriction_to_formula(path.head, first, second, fresh)
     middle = next(fresh)
     return Exists(
         middle,
         AndF(
-            restriction_to_formula(path.head, first, middle, fresh),
+            _restriction_to_formula(path.head, first, middle, fresh),
             path_to_formula(path.tail, middle, second, fresh),
         ),
     )

@@ -225,25 +225,16 @@ class SemanticQueryOptimizer:
     def subsuming_views_for_concept(self, concept: Concept) -> List[MaterializedView]:
         """All registered views subsuming an already-abstracted ``QL`` concept.
 
-        The matching hot path behind :meth:`subsuming_views`; exposed
-        separately so benchmarks and concept-level callers can drive it
-        without a :class:`~repro.dl.ast.QueryClassDecl` shell.
+        The matching hot path behind :meth:`subsuming_views` and every
+        replica's served query; exposed separately so benchmarks and
+        concept-level callers can drive it without a
+        :class:`~repro.dl.ast.QueryClassDecl` shell.
         """
-        if self.catalog.use_lattice:
-            lattice_stats = LatticeMatchStats()
-            matches = list(self.catalog.lattice_subsumers(concept, lattice_stats))
-            self.statistics.subsumption_checks += lattice_stats.checks
-            self.statistics.signature_skips += lattice_stats.signature_skips
-            self.statistics.lattice_pruned += lattice_stats.pruned_views
-        else:
-            matches = []
-            for view in self.catalog:
-                if self.checker.quick_reject(concept, view.concept):
-                    self.statistics.signature_skips += 1
-                    continue
-                self.statistics.subsumption_checks += 1
-                if self.checker.subsumes(concept, view.concept):
-                    matches.append(view)
+        walk = LatticeMatchStats()
+        matches = self.catalog.subsumers(concept, self.checker, walk)
+        self.statistics.subsumption_checks += walk.checks
+        self.statistics.signature_skips += walk.signature_skips
+        self.statistics.lattice_pruned += walk.pruned_views
         matches.sort(key=lambda view: (view.size, view.name))
         return matches
 
@@ -270,7 +261,6 @@ class SemanticQueryOptimizer:
         shards: Optional[int] = None,
         backend: str = "thread",
         max_workers: Optional[int] = None,
-        remote=None,
     ) -> List[QueryPlan]:
         """Plan a batch of queries with the sharded matcher.
 
@@ -292,7 +282,6 @@ class SemanticQueryOptimizer:
             shards=shards,
             backend=backend,
             max_workers=max_workers,
-            remote=remote,
         )
         matched = matcher.match_batch([self.query_concept(query) for query in queries])
         self.statistics.subsumption_checks += matcher.match_statistics.checks
@@ -325,18 +314,15 @@ class SemanticQueryOptimizer:
         shards: Optional[int] = None,
         backend: str = "thread",
         max_workers: Optional[int] = None,
-        remote=None,
     ) -> List[OptimizationOutcome]:
         """Plan a batch with :meth:`plan_batch` and execute every plan.
 
         Execution stays sequential (it is set algebra over stored extents,
         cheap next to matching) and returns outcomes in input order; the
         answers equal the sequential loop's because the plans do.
-        ``remote`` threads a shared decision cache into the matcher's
-        worker views (see :mod:`repro.optimizer.parallel`).
         """
         plans = self.plan_batch(
-            queries, shards=shards, backend=backend, max_workers=max_workers, remote=remote
+            queries, shards=shards, backend=backend, max_workers=max_workers
         )
         return [self.execute(plan, state) for plan in plans]
 

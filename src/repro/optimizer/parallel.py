@@ -17,61 +17,55 @@ over a worker pool and merge deterministically:
   construction (property-tested in ``tests/optimizer``).
 * :class:`ShardedMatcher` powers ``SemanticQueryOptimizer.plan_batch`` /
   ``answer_batch``: a batch of queries is split across shards, each worker
-  traversing the read-only lattice through its own
-  :class:`BatchCheckerView`; per-shard matches, statistics and cache deltas
-  are merged in input order, so plans are byte-identical to the sequential
-  loop.
+  running the catalog's own match walk (``ViewCatalog.subsumers``) through
+  its own :class:`BatchCheckerView`; per-shard matches, statistics and
+  cache deltas are merged in input order, so plans are byte-identical to
+  the sequential loop.
 
-Besides the pool, the batch paths layer two *sound* decision shortcuts
-(decisions stay bitwise identical -- the shortcuts only replace completion
-runs by cheaper reasoning, they never change an answer):
-
-1. **Told-subsumption seeding.**  ``conjunct_ids(D) ⊆ conjunct_ids(C)``
-   proves ``C ⊑_Σ D`` outright; each worker seeds these told positives --
-   and, through the lattice, their ancestor closure (``C ⊑ V`` and
-   ``V ⊑ W`` give ``C ⊑ W``) -- into its overlay before traversing.
-2. **Root-membership rejection filters.**  One facts-only completion per
-   query concept (the :class:`ConceptProfile`) rejects views requiring a
-   root primitive or head attribute step the query cannot have.
-
-The shortcut machinery itself (``conjunct_ids``, :class:`ConceptProfile`,
-:func:`profile_concept`, the rejection predicate) was **promoted into the
-spec checker** (:mod:`repro.core.checker`) once the adversarial fuzz in
-``tests/optimizer/test_batch_filters.py`` landed -- the ROADMAP carried
-item -- so :meth:`SubsumptionChecker.subsumes` now applies both shortcuts
-on every call and this module re-exports them for its seeding indexes and
-worker overlays.  What remains batch-specific here is the *seeding*
-(overlay deltas, lattice ancestor closure, the conjunct-id posting
-indexes) and the per-worker profile sharing.
+Every decision is resolved by the one
+:class:`~repro.core.checker.SubsumptionChecker` chain: memos, told and
+signature shortcuts, the profile rejection filter, the remote tier, a
+completion.  A :class:`BatchCheckerView` is only a worker's *overlay* over
+that checker: the decisions a worker derives land in its private delta
+and merge on join.  Before each walk the lattice seeds the told
+subsumptions from its own conjunct-id index
+(:meth:`~repro.database.lattice.ViewLattice.seed_told`) into the overlay,
+and the overlay evaluates the checker's profile rejection predicate itself
+so that it can count the full checks it avoided.  The shortcut machinery
+(``conjunct_ids``, :class:`ConceptProfile`, :func:`profile_concept`) lives
+in :mod:`repro.core.checker`; this module re-exports it.
 
 Locking & sharing invariants (hold them when touching this module):
 
 * **Catalogs are frozen for the duration of a batch.**  Workers traverse
-  the lattice and the catalog snapshot without taking any lock; nothing
-  may mutate the catalog (register/unregister/refresh) while a parallel
-  phase runs.  The serialization point is the caller, not this module.
-* **Worker writes are overlay-only.**  Thread workers share the
-  process-wide intern tables (interning is locked) and *read* the base
-  checker's memo tables.  Decisions a worker derives land in its private
-  overlay, merged deterministically on join via
-  ``checker.absorb_decisions``; the only shared writes from worker
-  threads happen *through the base checker itself* when a full check
-  falls through to ``checker.subsumes`` / ``quick_reject``, whose memo
-  updates are single CPython dict stores -- idempotent (decisions are
-  deterministic) and GIL-atomic today, but a port to free-threaded
-  Python would need a lock there.
+  the lattice and read its told-seed index without taking any lock;
+  nothing may mutate the catalog (register/unregister/refresh) while a
+  parallel phase runs.  The serialization point is the caller, not this
+  module.
+* **Decisions land in the overlay; the checker's memos take the rest.**
+  Thread workers share the process-wide intern tables (interning is
+  locked) and read the base checker's decision memos.  Decisions a worker
+  derives land in its private overlay, merged deterministically on join
+  via ``checker.absorb_decisions``.  Worker threads do write the base
+  checker's *profile memo and seed slot* (through ``checker.profile``)
+  and, when a full check falls through to ``checker.subsumes``, its
+  decision memos.  Each of those writes is a single CPython dict store or
+  attribute assignment -- idempotent (profiles and decisions are
+  deterministic; a seed is used only for the query id it is stored with)
+  and GIL-atomic today, but a port to free-threaded Python would need a
+  lock there.
 * **Interned ids cross fork boundaries, never process boundaries.**
   Process workers (``backend="process"``, fork platforms only) inherit
   the frozen catalog and the pre-interned batch via copy-on-write; their
   overlay deltas are keyed by interned ids, which are fork-stable, so
-  the parent absorbs them without translation.  ``backend="serial"``
-  runs the same code path in the calling thread (the control used by the
-  equivalence tests).
-* **The remote cache serializes on its own client lock.**  A
-  :class:`~repro.database.cacheserver.RemoteDecisionCache` passed as
-  ``remote=`` may be shared by all shard threads (its socket I/O is
-  mutex-guarded) and is consulted only after every cheap local layer
-  missed; a remote fault degrades it to a no-op, so the decision
+  the parent absorbs them without translation.  Their profile-memo writes
+  stay in the child.  ``backend="serial"`` runs the same code path in the
+  calling thread (the control used by the equivalence tests).
+* **The remote tier serializes on its own client.**  A
+  :class:`~repro.database.cacheserver.RemoteDecisionCache` attached to the
+  checker is shared by all shard threads (it hands each round trip its
+  own pooled connection) and is consulted only after every cheap local
+  layer missed; a remote fault degrades it to a no-op, so the decision
   protocol -- and the merged results -- never depend on the cache tier
   being alive.
 """
@@ -82,7 +76,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..concepts.intern import concept_id
 from ..concepts.normalize import normalize_concept
@@ -100,7 +94,6 @@ __all__ = [
     "BatchStatistics",
     "BatchCheckerView",
     "ConceptProfile",
-    "LatticeSeedIndex",
     "ShardedMatcher",
     "available_backends",
     "classify_batch",
@@ -121,8 +114,8 @@ class BatchStatistics:
 
     backend: str = ""
     shards: int = 0
-    #: Facts-only profiling completions actually run (one per distinct
-    #: query concept per worker).
+    #: Facts-only profiling completions run on a worker's behalf (the
+    #: checker memoizes each profile once, for every worker).
     profiles_computed: int = 0
     #: Decisions seeded from told subsumption + lattice ancestor closure.
     told_seeded: int = 0
@@ -132,10 +125,6 @@ class BatchStatistics:
     full_checks: int = 0
     #: Overlay entries merged back into the base checker on join.
     cache_delta_entries: int = 0
-    #: Completions avoided by the shared remote decision cache.
-    remote_hits: int = 0
-    #: Remote lookups that missed (the completion then ran locally).
-    remote_misses: int = 0
 
     def merge(self, other: "BatchStatistics") -> None:
         self.profiles_computed += other.profiles_computed
@@ -143,8 +132,6 @@ class BatchStatistics:
         self.filter_rejections += other.filter_rejections
         self.full_checks += other.full_checks
         self.cache_delta_entries += other.cache_delta_entries
-        self.remote_hits += other.remote_hits
-        self.remote_misses += other.remote_misses
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +140,9 @@ class BatchStatistics:
 
 
 class BatchCheckerView:
-    """A decision-cache view over a shared :class:`SubsumptionChecker`.
+    """A worker's private decision overlay over a shared :class:`SubsumptionChecker`.
 
-    Workers must not write shared memo tables concurrently, and process
+    Workers must not write shared decision memos concurrently, and process
     workers cannot write them at all -- so every decision a worker derives
     (seeded, filtered or fully checked) lands in a private ``delta`` dict
     keyed by interned concept-id pairs.  Reads fall through to the base
@@ -167,53 +154,32 @@ class BatchCheckerView:
     With ``direct=True`` (the sequential merge phase of ``register_batch``)
     decisions are additionally recorded into the base checker immediately.
 
-    ``remote`` plugs a shared cross-process cache
-    (:class:`~repro.database.cacheserver.RemoteDecisionCache`) into the
-    fall-through chain: overlay -> base-checker memos -> profile filters
-    -> **remote get** -> full completion (+ write-behind remote set).
-    The remote sits deliberately *after* the cheap local layers, so a
-    network round trip is only ever paid where it can replace a full
-    completion; decisions a remote hit supplies land in ``delta`` like
-    any other, keeping the merge-on-join contract unchanged.
+    The overlay resolves nothing itself: profiles come from the checker's
+    one memo, and a pair that neither the overlay, the checker's memos nor
+    the profile rejection filter answers goes to ``checker.subsumes`` --
+    whose last layer before a completion is the checker's remote tier.
+    Evaluating the filter here (rather than leaving it to the checker)
+    only serves the counters: ``filter_rejections`` vs. ``full_checks``.
     """
 
     def __init__(
         self,
         checker,
-        profiles: Optional[Dict[int, ConceptProfile]] = None,
         *,
         statistics: Optional[BatchStatistics] = None,
         direct: bool = False,
-        remote=None,
     ) -> None:
         self._checker = checker
-        self._profiles = profiles if profiles is not None else {}
         self._direct = direct
-        self._remote = remote
         self.statistics = statistics if statistics is not None else BatchStatistics()
         self.delta: Dict[Tuple[int, int], bool] = {}
         self._necessary_names = necessary_attribute_names(checker.schema)
 
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def schema(self):
-        return self._checker.schema
-
-    @property
-    def use_repair_rule(self):
-        return self._checker.use_repair_rule
-
-    @property
-    def naive(self):
-        return self._checker.naive
-
     def profile(self, concept: Concept) -> ConceptProfile:
-        key = concept_id(normalize_concept(concept))
-        cached = self._profiles.get(key)
+        """The checker's memoized profile, counting the ones computed here."""
+        cached = self._checker.cached_profile(concept)
         if cached is None:
-            cached = profile_concept(concept, self._checker)
-            self._profiles[key] = cached
+            cached = self._checker.profile(concept)
             self.statistics.profiles_computed += 1
         return cached
 
@@ -230,7 +196,8 @@ class BatchCheckerView:
     # -- the decision interface the lattice and the flat scan consume ------
 
     def quick_reject(self, query: Concept, view: Concept) -> bool:
-        return self._checker.quick_reject(query, view)
+        """The checker's ``quick_reject``, with the profile read through :meth:`profile`."""
+        return self._checker.signature_excludes(query, view) and self.profile(query).satisfiable
 
     def subsumes(self, query: Concept, view: Concept) -> bool:
         normalized_query = normalize_concept(query)
@@ -248,254 +215,18 @@ class BatchCheckerView:
             if self._direct:
                 self._checker.record_decision(key[0], key[1], decision)
         else:
-            decision = self._remote.get(*key) if self._remote is not None else None
-            if decision is not None:
-                self.statistics.remote_hits += 1
-            else:
-                if self._remote is not None:
-                    self.statistics.remote_misses += 1
-                self.statistics.full_checks += 1
-                decision = self._checker.subsumes(normalized_query, normalized_view)
-                if self._remote is not None:
-                    self._remote.set(key[0], key[1], decision)
+            self.statistics.full_checks += 1
+            decision = self._checker.subsumes(normalized_query, normalized_view)
         self.delta[key] = decision
         return decision
 
-    # -- the rejection filters ---------------------------------------------
-
     def _rejects(self, query: Concept, view: Concept) -> bool:
-        """``True`` only if the profile *proves* ``query ⋢ view``.
+        """``True`` only if the query's profile *proves* ``query ⋢ view``.
 
-        Delegates to the promoted :func:`repro.core.checker.profile_rejects`
-        predicate over this worker's (shared) profile memo, so the view and
-        the spec checker reject through one implementation.
+        The promoted :func:`repro.core.checker.profile_rejects` predicate,
+        the same one the checker applies inside ``subsumes``.
         """
         return profile_rejects(self.profile(query), view, self._necessary_names)
-
-
-# ---------------------------------------------------------------------------
-# Catalog snapshots and told-subsumption seeding
-# ---------------------------------------------------------------------------
-
-
-class _CatalogSnapshot:
-    """A read-only view of the catalog taken before a parallel phase.
-
-    Captures the unique lattice nodes (or, for ``lattice=False`` catalogs,
-    the flat view list) together with interned ids and conjunct-id sets, so
-    seeding costs integer-set operations only.  Workers share the snapshot;
-    nothing in it is mutated while a parallel phase runs.
-
-    Seeding is backed by a **conjunct-id inverted index** (conjunct id ->
-    positions of the entries containing it), built once per snapshot: a
-    query's seeding pass then touches only the entries sharing at least one
-    conjunct with it, instead of running one set operation per catalog
-    entry.  On catalogs far beyond the benchmarked sizes this keeps the
-    per-query seeding cost proportional to the posting lists hit, restoring
-    the sublinearity the lattice traversal provides (ROADMAP item).
-    """
-
-    def __init__(self, catalog) -> None:
-        self.use_lattice = catalog.use_lattice
-        self.lattice = catalog.lattice
-        self.views = list(catalog)
-        if self.use_lattice:
-            self.entries = [
-                (node, concept_id(node.concept), conjunct_ids(node.concept))
-                for node in self.lattice.nodes()
-            ]
-        else:
-            self.entries = [
-                (view, concept_id(view.concept), conjunct_ids(view.concept))
-                for view in self.views
-            ]
-        self._postings: Dict[int, List[int]] = {}
-        for position, (_, _, entry_conjuncts) in enumerate(self.entries):
-            for conjunct in entry_conjuncts:
-                self._postings.setdefault(conjunct, []).append(position)
-
-    def seed_positives(self, view_checker: BatchCheckerView, concept: Concept) -> None:
-        """Seed every told subsumption between ``concept`` and the snapshot.
-
-        ``conjuncts(entry) ⊆ conjuncts(concept)`` proves the entry subsumes
-        the concept (and vice versa for the reverse inclusion -- the reverse
-        seeds answer the equivalence probes and the subsumee searches of
-        lattice insertion).  In lattice mode the positive set is closed
-        upwards through the DAG: ancestors of a told subsumer subsume too.
-
-        Both inclusion directions fall out of one pass over the inverted
-        index: counting, per entry, the conjuncts shared with the query
-        decides ``entry ⊆ query`` (count equals the entry's size) and
-        ``query ⊆ entry`` (count equals the query's size) at once, and
-        entries sharing no conjunct -- which can satisfy neither inclusion
-        -- are never touched.
-        """
-        _seed_from_postings(
-            view_checker,
-            concept,
-            self._postings,
-            self.entries.__getitem__,
-            self.use_lattice,
-        )
-
-
-def _seed_from_postings(
-    view_checker: BatchCheckerView,
-    concept: Concept,
-    postings,
-    entry_of,
-    lattice_mode: bool,
-) -> None:
-    """The posting-list counting core shared by both seeding indexes.
-
-    ``postings`` maps conjunct id to hashable entry keys; ``entry_of(key)``
-    resolves a key to its ``(entry, interned id, conjunct ids)`` triple.
-    One tally pass decides both told-inclusion directions per entry (see
-    :meth:`_CatalogSnapshot.seed_positives`); keeping the frozen-snapshot
-    and live-lattice indexes on one implementation is load-bearing, since
-    both are property-tested identical to :func:`_seed_told_positives`.
-    """
-    query_id = concept_id(normalize_concept(concept))
-    query_conjuncts = conjunct_ids(concept)
-    shared: Dict[object, int] = {}
-    for conjunct in query_conjuncts:
-        for key in postings.get(conjunct, ()):
-            shared[key] = shared.get(key, 0) + 1
-    told_nodes = []
-    query_size = len(query_conjuncts)
-    for key, count in shared.items():
-        entry, entry_id, entry_conjuncts = entry_of(key)
-        if count == len(entry_conjuncts):
-            view_checker.seed(query_id, entry_id, True)
-            if lattice_mode:
-                told_nodes.append(entry)
-        if count == query_size:
-            view_checker.seed(entry_id, query_id, True)
-    if told_nodes:
-        _seed_ancestor_closure(view_checker, query_id, told_nodes)
-
-
-def _seed_told_positives(
-    view_checker: BatchCheckerView, concept: Concept, entries, lattice_mode: bool
-) -> None:
-    """Linear seeding core over ``(entry, interned id, conjunct ids)`` triples.
-
-    Used by the live-lattice merge phase (:func:`seed_against_lattice`),
-    where the DAG changes between insertions; the read-only snapshot path
-    uses the inverted index in :class:`_CatalogSnapshot` instead.
-    """
-    query_id = concept_id(normalize_concept(concept))
-    query_conjuncts = conjunct_ids(concept)
-    told_nodes = []
-    for entry, entry_id, entry_conjuncts in entries:
-        if entry_conjuncts <= query_conjuncts:
-            view_checker.seed(query_id, entry_id, True)
-            if lattice_mode:
-                told_nodes.append(entry)
-        if query_conjuncts <= entry_conjuncts:
-            view_checker.seed(entry_id, query_id, True)
-    if told_nodes:
-        _seed_ancestor_closure(view_checker, query_id, told_nodes)
-
-
-def _seed_ancestor_closure(
-    view_checker: BatchCheckerView, query_id: int, told_nodes: List[object]
-) -> None:
-    """Close told-positive lattice nodes upwards: ancestors subsume too."""
-    seen = set(id(node) for node in told_nodes)
-    frontier = list(told_nodes)
-    while frontier:
-        node = frontier.pop()
-        for parent in node.parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                view_checker.seed(query_id, concept_id(parent.concept), True)
-                frontier.append(parent)
-
-
-def seed_against_lattice(
-    view_checker: BatchCheckerView, lattice, concept: Concept
-) -> None:
-    """Told-subsumption seeding against the *live* lattice (merge phase).
-
-    Conjunct-id sets are memoized process-wide, so re-seeding per merge
-    insertion costs set operations over the current nodes, not AST walks.
-    This linear pass is the executable specification of
-    :class:`LatticeSeedIndex`, which the batched merge phase uses instead
-    (property-tested identical seed deltas).
-    """
-    entries = [
-        (node, concept_id(node.concept), conjunct_ids(node.concept))
-        for node in lattice.nodes()
-    ]
-    _seed_told_positives(view_checker, concept, entries, True)
-
-
-class LatticeSeedIndex:
-    """Incremental conjunct-id postings over a *live* lattice.
-
-    :func:`seed_against_lattice` rebuilds its entry list from every node on
-    every call, so the merge phase of ``ViewCatalog.register_batch`` seeded
-    linearly per insertion -- O(batch x catalog) set operations for a large
-    batch.  This index keeps the same conjunct-id posting lists the frozen
-    :class:`_CatalogSnapshot` uses, but *incrementally*: the merge loop
-    tells it which node an insertion added (:meth:`add_node`) and which
-    node an unregistration spliced out (:meth:`discard_node`), and each
-    :meth:`seed_positives` call then touches only the posting lists the
-    query's conjuncts hit.  Nodes whose membership merely changed (a view
-    joining an existing equivalence class) need no re-indexing: postings
-    key on the node's *concept*, which never changes.
-
-    Seeded decisions are property-tested identical to the linear pass in
-    ``tests/optimizer/test_batch_filters.py``.
-    """
-
-    def __init__(self, lattice) -> None:
-        self._entries: Dict[int, Tuple[object, int, FrozenSet[int]]] = {}
-        self._postings: Dict[int, Set[int]] = {}
-        for node in lattice.nodes():
-            self.add_node(node)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add_node(self, node) -> None:
-        """Index a node (no-op if already indexed)."""
-        key = id(node)
-        if key in self._entries or node is None:
-            return
-        entry = (node, concept_id(node.concept), conjunct_ids(node.concept))
-        self._entries[key] = entry
-        for conjunct in entry[2]:
-            self._postings.setdefault(conjunct, set()).add(key)
-
-    def discard_node(self, node) -> None:
-        """Drop a spliced-out node from the postings (no-op if absent).
-
-        The index holds a reference to every indexed node, so ``id()`` keys
-        cannot alias a collected object while the entry is live.
-        """
-        entry = self._entries.pop(id(node), None)
-        if entry is None:
-            return
-        for conjunct in entry[2]:
-            bucket = self._postings.get(conjunct)
-            if bucket is not None:
-                bucket.discard(id(node))
-                if not bucket:
-                    del self._postings[conjunct]
-
-    def seed_positives(self, view_checker: BatchCheckerView, concept: Concept) -> None:
-        """Seed every told subsumption between ``concept`` and the live DAG.
-
-        Same counting trick as :meth:`_CatalogSnapshot.seed_positives` --
-        both delegate to :func:`_seed_from_postings` -- so one pass over
-        the posting lists decides both inclusion directions, and nodes
-        sharing no conjunct with the query are never touched.
-        """
-        _seed_from_postings(
-            view_checker, concept, self._postings, self._entries.__getitem__, True
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +327,6 @@ def classify_batch(
     shards: Optional[int] = None,
     max_workers: Optional[int] = None,
     statistics: Optional[BatchStatistics] = None,
-    profiles: Optional[Dict[int, ConceptProfile]] = None,
 ) -> BatchStatistics:
     """Phase A: warm every frozen-DAG decision the batch insertions need.
 
@@ -614,16 +344,13 @@ def classify_batch(
         return statistics
     checker = catalog.checker
     lattice = catalog.lattice
-    snapshot = _CatalogSnapshot(catalog)
-    if profiles is None:
-        profiles = {}
 
     def worker(shard: int):
         worker_stats = BatchStatistics()
-        view_checker = BatchCheckerView(checker, profiles, statistics=worker_stats)
+        view_checker = BatchCheckerView(checker, statistics=worker_stats)
         for index in range(shard, len(views), shard_count):
             concept = views[index].concept
-            snapshot.seed_positives(view_checker, concept)
+            lattice.seed_told(concept, view_checker)
             lattice.classification_probe(concept, view_checker)
         worker_stats.cache_delta_entries = len(view_checker.delta)
         return worker_stats, view_checker.delta
@@ -642,13 +369,18 @@ def classify_batch(
 class ShardedMatcher:
     """Fan a batch of queries across shards over the read-only catalog.
 
-    Each worker owns a :class:`BatchCheckerView`; traversals are identical
-    to the spec paths (the lattice's frontier traversal, or the flat scan
-    for ``lattice=False`` catalogs), so the merged per-query match lists --
-    and the merged :class:`LatticeMatchStats` -- equal the sequential
-    loop's.  After :meth:`match_batch` the run's counters are available as
-    ``statistics`` (batch layer) and ``match_statistics`` (traversal
-    layer).
+    Each worker owns a :class:`BatchCheckerView` and runs the catalog's own
+    match walk (``ViewCatalog.subsumers``: the seeded lattice traversal, or
+    the flat scan for ``lattice=False`` catalogs), so the merged per-query
+    match lists -- and the merged :class:`LatticeMatchStats` -- equal the
+    sequential loop's.  After :meth:`match_batch` the run's counters are
+    available as ``statistics`` (batch layer) and ``match_statistics``
+    (traversal layer).
+
+    ``remote`` attaches a shared decision cache to ``checker`` (its
+    ``remote`` attribute) for good.  Only the benchmark's cache warm-up
+    (``perfbench/workloads.py``) passes it; everything else attaches the
+    cache with ``SubsumptionChecker(remote=...)``.
     """
 
     def __init__(
@@ -666,7 +398,8 @@ class ShardedMatcher:
         self.shards = shards
         self.backend = backend
         self.max_workers = max_workers
-        self.remote = remote
+        if remote is not None:
+            checker.remote = remote
         self.statistics = BatchStatistics()
         self.match_statistics = LatticeMatchStats()
 
@@ -680,32 +413,16 @@ class ShardedMatcher:
         self.match_statistics = LatticeMatchStats()
         if shard_count == 0:
             return []
-        snapshot = _CatalogSnapshot(self.catalog)
+        catalog = self.catalog
         checker = self.checker
-        remote = self.remote
-        profiles: Dict[int, ConceptProfile] = {}
 
         def worker(shard: int):
             worker_stats = BatchStatistics()
             match_stats = LatticeMatchStats()
-            view_checker = BatchCheckerView(
-                checker, profiles, statistics=worker_stats, remote=remote
-            )
+            view_checker = BatchCheckerView(checker, statistics=worker_stats)
             results: List[Tuple[int, List[str]]] = []
             for index in range(shard, len(normalized), shard_count):
-                concept = normalized[index]
-                snapshot.seed_positives(view_checker, concept)
-                if snapshot.use_lattice:
-                    matches = snapshot.lattice.subsumers(concept, view_checker, match_stats)
-                else:
-                    matches = []
-                    for view, _, _ in snapshot.entries:
-                        if view_checker.quick_reject(concept, view.concept):
-                            match_stats.signature_skips += 1
-                            continue
-                        match_stats.checks += 1
-                        if view_checker.subsumes(concept, view.concept):
-                            matches.append(view)
+                matches = catalog.subsumers(normalized[index], view_checker, match_stats)
                 results.append((index, [view.name for view in matches]))
             worker_stats.cache_delta_entries = len(view_checker.delta)
             return results, worker_stats, match_stats, view_checker.delta

@@ -1110,11 +1110,10 @@ def _warm_shared_cache(optimizer, stream, cache_server):
     # publish nothing for the children to hit.
     clear_shared_decision_cache()
     ShardedMatcher(
-        SubsumptionChecker(optimizer.sl_schema),
+        SubsumptionChecker(optimizer.sl_schema, remote=warm_remote),
         optimizer.catalog,
         shards=1,
         backend="serial",
-        remote=warm_remote,
     ).match_batch(stream)
     sets = warm_remote.sets
     warm_remote.close()
@@ -1286,7 +1285,7 @@ def run_serve_fleet_workload(
     against the primary, snapshotting **every committed generation** into
     a history.  Each child connects a
     :class:`~repro.database.replica.SnapshotReplica` (with the shared
-    remote cache plugged into its matcher) and runs ``rounds`` rounds of
+    remote cache behind its checker) and runs ``rounds`` rounds of
     catch-up-then-serve across ``clients`` threads, logging every answer
     with the generation it was pinned to.
 

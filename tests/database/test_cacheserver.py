@@ -1,4 +1,4 @@
-"""Tests for the shared decision-cache tier (server, client, checker seam).
+"""Tests for the shared decision-cache tier (server, client, checker tier).
 
 The protocol-level behavior (framing, responses, error handling) is pinned
 here against a live server on an ephemeral port; the *normative* wire
@@ -23,7 +23,7 @@ from repro.database.cacheserver import (
     cache_namespace,
 )
 from repro.optimizer.optimizer import SemanticQueryOptimizer
-from repro.optimizer.parallel import BatchCheckerView, ShardedMatcher
+from repro.optimizer.parallel import ShardedMatcher
 from repro.workloads.driver import batch_workload_setup
 
 
@@ -244,33 +244,114 @@ class TestCacheNamespace:
         assert with_repair != without
 
 
-# -- the BatchCheckerView seam -----------------------------------------------
+# -- the checker's remote tier ------------------------------------------------
+
+
+def _completing_pair(schema, catalog, stream):
+    """A (query, view) pair that no memo or shortcut decides: it completes."""
+    for query in stream:
+        for view in catalog.values():
+            probe = SubsumptionChecker(schema, shared_cache=False)
+            probe.subsumes(query, view)
+            stats = probe.statistics
+            if not (
+                stats["told_shortcuts"]
+                or stats["signature_rejections"]
+                or stats["profile_rejections"]
+            ):
+                return normalize_concept(query), normalize_concept(view)
+    raise AssertionError("the workload has no pair that needs a completion")
+
+
+def _counting_completions(monkeypatch):
+    """Count full completions (not facts-only profiles) the checker runs."""
+    from repro.core import checker as checker_module
+
+    decide = checker_module.decide_subsumption
+    full = []
+
+    def counted(query, view, *args, **kwargs):
+        if view != checker_module._PROBE:
+            full.append((query, view))
+        return decide(query, view, *args, **kwargs)
+
+    monkeypatch.setattr(checker_module, "decide_subsumption", counted)
+    return full
 
 
 class TestCheckerSeam:
-    def test_remote_hit_replaces_the_completion(self, server):
+    def _pair(self):
         schema, _, catalog, stream = batch_workload_setup("synthetic", 6, 4, 0)
+        query, view = _completing_pair(schema, catalog, stream)
+        return schema, query, view, (concept_id(query), concept_id(view))
+
+    def test_remote_hit_replaces_the_completion(self, server, monkeypatch):
+        schema, query, view, key = self._pair()
         remote = RemoteDecisionCache(server.address, "seam")
-        query = normalize_concept(stream[0])
-        view_concept = normalize_concept(list(catalog.values())[0])
-        key = (concept_id(query), concept_id(view_concept))
-
-        # A fresh checker computes and publishes the decision...
-        first = BatchCheckerView(SubsumptionChecker(schema), remote=remote)
-        decision = first.subsumes(query, view_concept)
-        published = remote.get(*key)
-
-        # ... and a second cold checker hits it instead of completing,
-        # without the decision changing.  Clearing the process-wide shared
-        # cache simulates the second checker living in another process.
         clear_shared_decision_cache()
-        second = BatchCheckerView(SubsumptionChecker(schema), remote=remote)
-        assert second.subsumes(query, view_concept) == decision
-        if published is not None:
-            assert second.statistics.remote_hits >= 1
-            assert second.statistics.full_checks == 0
-        spec = SubsumptionChecker(schema)
-        assert decision == spec.subsumes(query, view_concept)
+        decision = SubsumptionChecker(schema, remote=remote).subsumes(query, view)
+        assert remote.get(*key) is decision
+
+        # A second cold checker hits the published decision instead of
+        # completing.  Clearing the process-wide shared cache simulates the
+        # second checker living in another process.
+        clear_shared_decision_cache()
+        full = _counting_completions(monkeypatch)
+        second = SubsumptionChecker(schema, remote=remote)
+        assert second.subsumes(query, view) is decision
+        assert second.statistics["remote_hits"] == 1
+        assert second.statistics["remote_misses"] == 0
+        assert full == []
+        spec = SubsumptionChecker(schema, shared_cache=False, shortcuts=False)
+        assert decision == spec.subsumes(query, view)
+
+    def test_remote_miss_completes_locally_and_publishes(self, server, monkeypatch):
+        schema, query, view, key = self._pair()
+        remote = RemoteDecisionCache(server.address, "seam-miss")
+        clear_shared_decision_cache()
+        full = _counting_completions(monkeypatch)
+        checker = SubsumptionChecker(schema, remote=remote)
+        decision = checker.subsumes(query, view)
+        assert full == [(query, view)]
+        assert checker.statistics["remote_misses"] == 1
+        assert checker.statistics["remote_hits"] == 0
+        assert remote.sets == 1
+        assert remote.get(*key) is decision
+        # A hit or a completion is memoized like any other decision.
+        assert checker.subsumes(query, view) is decision
+        assert checker.statistics["remote_misses"] == 1
+        # clear_cache() drops the memos but keeps the remote tier attached.
+        checker.clear_cache()
+        clear_shared_decision_cache()
+        assert checker.remote is remote
+        assert checker.subsumes(query, view) is decision
+        assert checker.statistics["remote_hits"] == 1
+        assert len(full) == 1
+
+    def test_closed_server_degrades_to_a_local_completion(self, monkeypatch):
+        schema, query, view, _ = self._pair()
+        server = DecisionCacheServer().start()
+        remote = RemoteDecisionCache(server.address, "seam-dead")
+        server.close()
+        clear_shared_decision_cache()
+        full = _counting_completions(monkeypatch)
+        checker = SubsumptionChecker(schema, remote=remote)
+        spec = SubsumptionChecker(schema, shared_cache=False, shortcuts=False)
+        assert checker.subsumes(query, view) == spec.subsumes(query, view)
+        assert (query, view) in full
+        assert checker.statistics["remote_misses"] == 1
+        assert remote.dead
+
+    def test_explain_sends_no_remote_traffic(self, server):
+        schema, query, view, _ = self._pair()
+        remote = RemoteDecisionCache(server.address, "seam-explain")
+        clear_shared_decision_cache()
+        checker = SubsumptionChecker(schema, remote=remote)
+        checker.explain(query, view)
+        checker.is_satisfiable(query)
+        assert (remote.hits, remote.misses, remote.sets) == (0, 0, 0)
+        assert checker.statistics["remote_misses"] == 0
+        assert checker.statistics["remote_hits"] == 0
 
     def test_sharded_matching_with_remote_matches_spec(self, server):
         schema, _, catalog, stream = batch_workload_setup("university", 8, 6, 0)

@@ -13,12 +13,22 @@ integrity and the error responses.
 
 import socket
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import checker as checker_module
+from repro.core.checker import clear_shared_decision_cache
+from repro.database import replica as replica_module
+from repro.database.cacheserver import (
+    DecisionCacheServer,
+    RemoteDecisionCache,
+    cache_namespace,
+)
 from repro.database.query_eval import QueryEvaluator
 from repro.database.replica import (
     PROTOCOL_VERSION,
+    ReplicaConnectionError,
     ReplicaProtocolError,
     ReplicaServer,
     SnapshotReplica,
@@ -140,10 +150,104 @@ class TestReplicaProtocol:
             assert replica.primary_position() == server.position
             replica.close()
 
+    def test_oversized_snapshot_is_refused_not_sent(self, monkeypatch):
+        """A server answers ERROR instead of a frame its readers reject.
+
+        The university snapshot pickles to about 27 KB; under a 16 KiB
+        bound the handshake fails on its first attempt with a protocol
+        error (never retried), not with a transport fault after retries.
+        """
+        optimizer, state, _ = build_primary()
+        monkeypatch.setattr(replica_module, "_MAX_WIRE_FRAME_BYTES", 16 << 10)
+        with ReplicaServer(state, optimizer.catalog) as server:
+            replica = SnapshotReplica(server.address)
+            with pytest.raises(ReplicaProtocolError) as raised:
+                replica.connect()
+            assert not isinstance(raised.value, ReplicaConnectionError)
+            assert "exceeds the 16 KiB wire bound" in str(raised.value)
+            assert replica.reconnects == 1
+            assert replica.state is None
+            replica.close()
+
+    def test_oversized_epoch_is_refused_not_sent(self, monkeypatch):
+        optimizer, state, _ = build_primary()
+        with ReplicaServer(state, optimizer.catalog) as server:
+            replica = SnapshotReplica(server.address).connect()
+            monkeypatch.setattr(replica_module, "_MAX_WIRE_FRAME_BYTES", 16 << 10)
+            before = replica.applied_sequence
+            with state.batch():  # one epoch that pickles to about 42 KB
+                for index in range(2000):
+                    state.add_object(f"bulk{index}")
+            with pytest.raises(ReplicaProtocolError) as raised:
+                replica.poll()
+            assert not isinstance(raised.value, ReplicaConnectionError)
+            assert "wire bound" in str(raised.value)
+            assert replica.reconnects == 1
+            assert replica.applied_sequence == before
+            # The connection survives the refusal: the next request is served.
+            assert replica.primary_position() == server.position
+            replica.close()
+
     def test_protocol_version_pinned(self):
         # The conformance suite keys on this token; bumping it is a
         # deliberate wire change that must update docs/PROTOCOL.md too.
         assert PROTOCOL_VERSION == "repro-replica/1"
+
+
+# -- serving through the remote decision cache --------------------------------
+
+
+def test_warmed_remote_serves_first_contacts_without_a_completion(monkeypatch):
+    """A peer replica publishes the stream's decisions; the next completes none.
+
+    Replicas match through their optimizer's own walk, whose checker asks
+    the remote tier before any completion: every pair the second replica's
+    walk cannot settle locally (memo, told seed, shortcut) was completed
+    and published by the first.  Both replicas rebuild their catalogs from
+    the shipped snapshot, so their decisions share one id keyspace.
+    """
+    optimizer, state, stream = build_primary(views=12, queries=8)
+    with DecisionCacheServer() as cache_server, ReplicaServer(
+        state, optimizer.catalog
+    ) as server:
+        namespace = cache_namespace(optimizer.sl_schema, optimizer.catalog)
+        peer_remote = RemoteDecisionCache(cache_server.address, namespace, pool_size=1)
+        peer = SnapshotReplica(server.address, remote=peer_remote).connect()
+        clear_shared_decision_cache()
+        peer.optimizer.checker.clear_cache()
+        for concept in stream:
+            peer.answer_concept(concept)
+        assert peer_remote.sets > 0
+        peer_remote.stats()  # a round trip behind the write-behind sets
+        peer.close()
+        peer_remote.close()
+
+        clear_shared_decision_cache()
+        remote = RemoteDecisionCache(cache_server.address, namespace)
+        replica = SnapshotReplica(server.address, remote=remote).connect()
+        assert (remote.hits, remote.misses) == (0, 0)  # classified locally
+        clear_shared_decision_cache()
+
+        decide = checker_module.decide_subsumption
+        completions = []
+
+        def counted(query, view, *args, **kwargs):
+            if view != checker_module._PROBE:
+                completions.append((query, view))
+            return decide(query, view, *args, **kwargs)
+
+        monkeypatch.setattr(checker_module, "decide_subsumption", counted)
+        pinned = state.snapshot()
+        for concept in stream:
+            answers, generation = replica.answer_concept(concept)
+            assert generation == pinned.generation
+            assert answers == EVALUATOR.concept_answers(concept, pinned)
+        statistics = replica.optimizer.checker.statistics
+        assert completions == []
+        assert statistics["remote_hits"] > 0
+        assert statistics["remote_misses"] == 0
+        replica.close()
+        remote.close()
 
 
 # -- the staleness oracle -----------------------------------------------------

@@ -23,14 +23,19 @@ which exercises the S5 gate of the head filter).  With the promotion
 landed, ``TestPromotedShortcuts`` pins the two checker modes decision-
 equal end to end; every *spec* checker below opts out via
 ``shortcuts=False`` so the fuzz stays non-circular.
-``TestIncrementalSeedIndex`` pins the live-lattice posting index used by
-the batched registration merge phase to the linear ``seed_against_lattice``
-spec.
+``TestSnapshotSeedingIndex`` and ``TestIncrementalSeedIndex`` pin the
+view lattice's own told-seed posting index -- the one every match walk
+seeds from -- to the linear ``seed_against_lattice`` spec, on frozen
+catalogs and across insertions, re-registrations and splice-outs.
 """
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.concepts.normalize import normalize_concept
 from repro.core.checker import SubsumptionChecker
+from repro.database.lattice import seed_against_lattice
+from repro.database.views import ViewCatalog
 from repro.optimizer.parallel import (
     BatchCheckerView,
     conjunct_ids,
@@ -102,44 +107,77 @@ class TestProfileFilters:
                 assert spec.subsumes(by_id[query_id], by_id[view_id]) == decision
 
 
-class TestSnapshotSeedingIndex:
-    """The conjunct-id inverted index must reproduce the linear seeding.
+class _RecordedSeeds:
+    """A seed sink that keeps every pair offered, decided or not."""
 
-    ``_CatalogSnapshot.seed_positives`` answers per-query told subsumption
-    through posting lists; the linear double loop over every entry
-    (``_seed_told_positives``) is its executable specification.
+    def __init__(self) -> None:
+        self.pairs = set()
+
+    def seed(self, query_id, view_id, decision) -> None:
+        assert decision is True
+        self.pairs.add((query_id, view_id))
+
+
+def _index_matches_linear_spec(lattice, concept) -> set:
+    """Seed ``concept`` both ways, assert the seeds agree, return them."""
+    concept = normalize_concept(concept)
+    indexed, linear = _RecordedSeeds(), _RecordedSeeds()
+    lattice.seed_told(concept, indexed)
+    seed_against_lattice(linear, lattice, concept)
+    assert indexed.pairs == linear.pairs
+    return indexed.pairs
+
+
+def _hierarchical_catalog(lattice: bool, seed: int = 11):
+    from repro.workloads.synthetic import (
+        SchemaProfile,
+        generate_hierarchical_catalog,
+        generate_matching_queries,
+        random_schema,
+    )
+
+    schema = random_schema(SchemaProfile(classes=8, attributes=5), seed=seed)
+    checker = SubsumptionChecker(schema, shared_cache=False)
+    catalog = ViewCatalog(None, checker=checker, lattice=lattice)
+    concepts_by_name = generate_hierarchical_catalog(schema, 24, seed=7)
+    for name, concept in concepts_by_name.items():
+        catalog.register_concept(name, concept)
+    queries = generate_matching_queries(schema, concepts_by_name, 12, seed=13)
+    return catalog, checker, queries
+
+
+class TestSnapshotSeedingIndex:
+    """Seeding against a frozen catalog, as every match walk does.
+
+    A lattice catalog seeds from the lattice's conjunct-id posting index;
+    the linear pass over every node (``seed_against_lattice``) is its
+    executable specification.  A flat catalog seeds nothing: without a
+    lattice there is no ancestor closure, so a told seed would be exactly
+    a pair the checker's own told shortcut answers.
     """
 
-    def _seed_deltas_match(self, lattice):
-        from repro.optimizer.parallel import _CatalogSnapshot, _seed_told_positives
-        from repro.database.views import ViewCatalog
-        from repro.workloads.synthetic import (
-            SchemaProfile,
-            generate_hierarchical_catalog,
-            generate_matching_queries,
-            random_schema,
-        )
-
-        schema = random_schema(SchemaProfile(classes=8, attributes=5), seed=11)
-        checker = SubsumptionChecker(schema, shared_cache=False)
-        catalog = ViewCatalog(None, checker=checker, lattice=lattice)
-        concepts = generate_hierarchical_catalog(schema, 24, seed=7)
-        for name, concept in concepts.items():
-            catalog.register_concept(name, concept)
-        snapshot = _CatalogSnapshot(catalog)
-        queries = generate_matching_queries(schema, concepts, 12, seed=13)
-        for query in queries:
-            indexed = BatchCheckerView(checker)
-            linear = BatchCheckerView(checker)
-            snapshot.seed_positives(indexed, query)
-            _seed_told_positives(linear, query, snapshot.entries, snapshot.use_lattice)
-            assert indexed.delta == linear.delta
-
     def test_lattice_snapshot(self):
-        self._seed_deltas_match(lattice=True)
+        catalog, _checker, queries = _hierarchical_catalog(lattice=True)
+        seeded = set()
+        for query in queries + [view.concept for view in catalog]:
+            seeded |= _index_matches_linear_spec(catalog.lattice, query)
+        assert seeded, "the hierarchical catalog must produce told seeds"
 
     def test_flat_snapshot(self):
-        self._seed_deltas_match(lattice=False)
+        catalog, checker, queries = _hierarchical_catalog(lattice=False)
+        told_pairs = 0
+        for query in queries:
+            view_checker = BatchCheckerView(checker)
+            matched = {view.name for view in catalog.subsumers(query, view_checker)}
+            assert view_checker.statistics.told_seeded == 0
+            told = {
+                view.name
+                for view in catalog
+                if conjunct_ids(view.concept) <= conjunct_ids(query)
+            }
+            assert told <= matched
+            told_pairs += len(told)
+        assert told_pairs, "the hierarchical catalog must hold told subsumers"
 
 
 #: Concepts over the union vocabulary: the chain names meet the default
@@ -259,17 +297,27 @@ class TestPromotedShortcuts:
 
 
 class TestIncrementalSeedIndex:
-    """The live-lattice posting index vs. the linear merge-phase seeding.
+    """The lattice's live posting index vs. the linear seeding spec.
 
-    ``seed_against_lattice`` (one pass over every node per insertion) is
-    the executable specification; :class:`LatticeSeedIndex` must produce
-    the *identical* seed deltas across a whole registration sequence,
-    including re-registrations that splice nodes out of the DAG.
+    ``ViewLattice.insert`` indexes each new node and ``remove`` drops each
+    spliced-out one.  After every insertion, re-registration and splice-out
+    the index must seed exactly what ``seed_against_lattice`` (one pass
+    over every node) seeds, and must index exactly the lattice's nodes.
     """
 
-    def _trace(self, size: int) -> None:
-        from repro.database.views import ViewCatalog
-        from repro.optimizer.parallel import LatticeSeedIndex, seed_against_lattice
+    def _replay(self, catalog, operations, probes) -> set:
+        seeded = set()
+        for name, concept in operations:
+            if concept is None:
+                catalog.unregister(name)
+            else:
+                catalog.register_concept(name, concept)
+            catalog.lattice.check_invariants(catalog.checker)
+            for probe in probes:
+                seeded |= _index_matches_linear_spec(catalog.lattice, probe)
+        return seeded
+
+    def test_incremental_seeding_matches_linear_spec(self):
         from repro.workloads.synthetic import (
             SchemaProfile,
             generate_hierarchical_catalog,
@@ -277,38 +325,34 @@ class TestIncrementalSeedIndex:
         )
 
         schema = random_schema(SchemaProfile(classes=8, attributes=5), seed=17)
-        checker = SubsumptionChecker(schema, shared_cache=False)
-        catalog = ViewCatalog(None, checker=checker, lattice=True)
-        concepts_by_name = generate_hierarchical_catalog(schema, size, seed=23)
-        items = list(concepts_by_name.items())
-        # Pre-register a prefix one at a time, then replay the whole list
-        # (so the suffix re-registers existing names, exercising the
-        # splice-out path) through the incremental index.
-        for name, concept in items[: size // 2]:
-            catalog.register_concept(name, concept)
-        seeder = LatticeSeedIndex(catalog.lattice)
-        for name, concept in items:
-            if catalog.get(name) is not None:
-                node_before = catalog.lattice.node_of(name)
-                catalog.unregister(name)
-                if node_before is not None and not node_before.views:
-                    seeder.discard_node(node_before)
-            indexed = BatchCheckerView(checker)
-            linear = BatchCheckerView(checker)
-            seeder.seed_positives(indexed, concept)
-            seed_against_lattice(linear, catalog.lattice, concept)
-            assert indexed.delta == linear.delta, name
-            catalog.register_concept(name, concept)
-            seeder.add_node(catalog.lattice.node_of(name))
-        # The incrementally maintained index ends up indexing exactly the
-        # nodes a fresh build over the final lattice would.
-        fresh = LatticeSeedIndex(catalog.lattice)
-        assert {id(node) for node, _, _ in seeder._entries.values()} == {
-            id(node) for node, _, _ in fresh._entries.values()
-        }
+        catalog = ViewCatalog(
+            None, checker=SubsumptionChecker(schema, shared_cache=False), lattice=True
+        )
+        items = list(generate_hierarchical_catalog(schema, 20, seed=23).items())
+        # Register a prefix, replay the whole list (the suffix re-registers
+        # existing names, splicing their nodes out first), then unregister
+        # every other name.
+        operations = items[:10] + items + [(name, None) for name, _ in items[::2]]
+        seeded = self._replay(catalog, operations, [concept for _, concept in items])
+        assert seeded, "the hierarchical catalog must produce told seeds"
 
-    def test_incremental_seeding_matches_linear_spec(self):
-        self._trace(size=20)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        schemas(max_axioms=3),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=5), st.none() | concepts(max_depth=2)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_fuzzed_catalogs_match_linear_spec(self, schema, steps):
+        """Random registrations, re-registrations and unregistrations."""
+        catalog = ViewCatalog(
+            None, checker=SubsumptionChecker(schema, shared_cache=False), lattice=True
+        )
+        operations = [(f"view{slot}", concept) for slot, concept in steps]
+        probes = [concept for _, concept in operations if concept is not None]
+        self._replay(catalog, operations, probes)
 
     def test_register_batch_reregistration_over_existing_catalog(self):
         """The wired-in merge path: batched re-registration over a live
