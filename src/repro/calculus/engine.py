@@ -384,11 +384,12 @@ class CompletionEngine:
                     "this indicates a non-terminating rule interaction"
                 )
 
-        statistics.individuals = len(pair.fact_individuals())
+        individuals = pair.fact_individuals()
+        statistics.individuals = len(individuals)
         statistics.fact_count = len(pair.facts)
         statistics.goal_count = len(pair.goals)
         statistics.fresh_variables = sum(
-            1 for individual in pair.fact_individuals() if individual.is_variable
+            1 for individual in individuals if individual.is_variable
         )
         return CompletionResult(pair=pair, trace=tuple(trace), statistics=statistics)
 

@@ -2,9 +2,7 @@
 
 The optimizer and the view lattice compare, hash and memoize the same
 concepts over and over: every query is probed against many views, every view
-against its lattice neighbours, and all of them share sub-expressions.  With
-plain structural hashing each dictionary operation walks the whole AST; at
-catalog scale that dominates the cost of cache *hits*.
+against its lattice neighbours, and all of them share sub-expressions.
 
 This module gives every concept a single canonical ("interned") instance:
 
@@ -13,13 +11,15 @@ This module gives every concept a single canonical ("interned") instance:
   when the structure is first seen,
 * caches throughout the library (`normalize_concept`, the checker's
   signature / satisfiability / decision memos, the shared cross-checker
-  decision cache) are keyed on those integer ids, so lookups cost one
-  attribute read and one small-int hash instead of a deep traversal.
+  decision cache) are keyed on those integer ids.
 
-The structural hash itself is *not* precomputed: the frozen dataclasses'
-``__hash__`` still walks the whole structure on every call, canonical
-instances included -- which is why hot caches key on the id instead of on
-the concept.
+Hashing a concept is cheap either way: every node computes its structural
+hash once and keeps it (:mod:`repro.concepts.syntax`).  The ids stay the
+cache keys because the decision tiers compare *ids*, not structures: the
+remote decision cache keys its entries on id pairs shared by a fork family,
+and the view lattice's told-seed index posts conjunct ids.  The structural
+hash never derives from an id -- ids differ between processes and, after
+:func:`clear_intern_tables`, between equal structures of one process.
 
 Interning is bottom-up: children are interned first, so the table key of a
 composite node is built from the child *ids* (O(1) per node, O(size) the

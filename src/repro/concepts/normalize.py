@@ -128,7 +128,8 @@ def _normalize_path(path: Path) -> Path:
 
 #: Cross-call memo: interned input id -> interned normalized concept.
 #: Normalization is pure, so one process-wide table serves every caller;
-#: keying on intern ids makes hits O(1) instead of a deep structural hash.
+#: keying on intern ids makes a hit one small-int lookup that compares no
+#: structures.
 _NORMALIZED: Dict[int, Concept] = {}
 
 

@@ -82,6 +82,9 @@ class Schema:
       (rule S5 and the canonical interpretation).
     """
 
+    #: :func:`~repro.concepts.size.schema_size`, set on its first call.
+    _size: Optional[int] = None
+
     def __init__(self, axioms: Iterable[SchemaAxiom] = ()) -> None:
         self._inclusions: List[InclusionAxiom] = []
         self._typings: Dict[str, AttributeTyping] = {}

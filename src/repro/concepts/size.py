@@ -14,11 +14,12 @@ These measures are used by
 * the completion engine's safety budget, which probes them on every
   :meth:`~repro.calculus.engine.CompletionEngine.complete` call.
 
-Concepts, paths and schemas are immutable and hashable, so the measures are
-memoized (bounded LRU caches, so long-running services don't pin every
-concept ever measured): the engine and the benchmarks ask for the same sizes
-over and over, and the recursive recomputation used to show up in profiles
-of the completion hot path.
+The engine and the benchmarks ask for the same sizes over and over, and the
+recursive recomputation used to show up in profiles of the completion hot
+path, so the measures are memoized: :func:`concept_size` in a bounded LRU
+cache (long-running services don't pin every concept ever measured), and
+:func:`schema_size` once per schema, kept on the schema itself -- hashing a
+schema for an LRU lookup would build the frozenset of all its axioms.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def sl_concept_size(concept: SLConcept) -> int:
     raise TypeError(f"not an SL concept: {concept!r}")
 
 
-@lru_cache(maxsize=4096)
 def schema_size(schema: Schema) -> int:
-    """Size of a schema: the sum of the sizes of its axioms; memoized (bounded LRU)."""
+    """Size of a schema: the sum of the sizes of its axioms; computed once per schema."""
+    if schema._size is not None:
+        return schema._size
     total = 0
     for axiom in schema.axioms():
         if isinstance(axiom, InclusionAxiom):
@@ -86,4 +88,5 @@ def schema_size(schema: Schema) -> int:
             total += 4
         else:  # pragma: no cover - Schema only stores the two axiom kinds
             raise TypeError(f"not a schema axiom: {axiom!r}")
+    schema._size = total
     return total

@@ -23,7 +23,10 @@ where paths ``p, q`` are chains of *attribute restrictions* ``(R:C)`` and
 All nodes are immutable (frozen dataclasses) with structural equality and
 hashing, so they can be freely used as members of sets and keys of
 dictionaries -- which is exactly what the constraint systems of the
-subsumption calculus (:mod:`repro.calculus`) require.
+subsumption calculus (:mod:`repro.calculus`) require.  The concept nodes
+and paths compute their structural hash once per instance and keep it
+(:func:`_memoized_hash`), so a set operation on a constraint no longer
+re-walks the concept tree inside it.
 """
 
 from __future__ import annotations
@@ -106,14 +109,26 @@ class AttributeRestriction:
 _INTERN_STAMP = "_repro_intern_id"
 
 
+#: Name of the structural-hash memo set by :func:`_memoized_hash`.  It is
+#: dropped on pickling and copying too: ``str`` hashes differ between
+#: processes under hash randomization, so a carried-over memo would make an
+#: unpickled concept miss every set and dict lookup in the receiver.
+_HASH_MEMO = "_repro_hash"
+
+
 class _StampFreeState:
-    """Pickle/copy protocol mixin dropping the interning stamp (see above)."""
+    """Pickle/copy protocol mixin dropping the stamp and the hash memo (see above)."""
 
     __slots__ = ()
+
+    #: Class-level default of the hash memo (``_HASH_MEMO``): "not computed
+    #: yet", so reading the memo needs no ``try``/``except``.
+    _repro_hash = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop(_INTERN_STAMP, None)
+        state.pop(_HASH_MEMO, None)
         return state
 
     def __setstate__(self, state):
@@ -121,6 +136,29 @@ class _StampFreeState:
             object.__setattr__(self, key, value)
 
 
+def _memoized_hash(cls):
+    """Class decorator: compute ``cls``'s structural hash once per instance.
+
+    Applied on top of ``@dataclass``, it wraps whatever ``__hash__`` the
+    class ends up with (the generated field-tuple hash, or the class body's
+    own) and stores the value on the instance the way the interning stamp
+    is stored, so equal instances still hash equal wherever they were built.
+    Two threads hashing a new instance at once store the same int.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        memo = self._repro_hash
+        if memo is None:
+            memo = structural(self)
+            object.__setattr__(self, _HASH_MEMO, memo)
+        return memo
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_memoized_hash
 @dataclass(frozen=True)
 class Path(_StampFreeState):
     """A path ``p = (R1:C1)(R2:C2)...(Rn:Cn)``; the empty path is ``epsilon``.
@@ -210,6 +248,7 @@ class Concept(_StampFreeState):
         return And(self, other)
 
 
+@_memoized_hash
 @dataclass(frozen=True, order=True)
 class Primitive(Concept):
     """A primitive concept ``A`` (an OODB class name after abstraction)."""
@@ -220,6 +259,7 @@ class Primitive(Concept):
         return self.name
 
 
+@_memoized_hash
 @dataclass(frozen=True)
 class Top(Concept):
     """The universal concept ``⊤`` (the class ``Object`` of the OODB)."""
@@ -231,6 +271,7 @@ class Top(Concept):
 TOP = Top()
 
 
+@_memoized_hash
 @dataclass(frozen=True, order=True)
 class Singleton(Concept):
     """A singleton concept ``{a}`` for a constant ``a``.
@@ -245,6 +286,7 @@ class Singleton(Concept):
         return "{" + self.constant + "}"
 
 
+@_memoized_hash
 @dataclass(frozen=True)
 class And(Concept):
     """The intersection ``C ⊓ D`` of two concepts.
@@ -261,6 +303,7 @@ class And(Concept):
         return f"({self.left} AND {self.right})"
 
 
+@_memoized_hash
 @dataclass(frozen=True)
 class ExistsPath(Concept):
     """Existential quantification over a path: ``∃p``.
@@ -275,6 +318,7 @@ class ExistsPath(Concept):
         return f"EXISTS {self.path}"
 
 
+@_memoized_hash
 @dataclass(frozen=True)
 class PathAgreement(Concept):
     """Existential agreement of two paths: ``∃p ≐ q``.

@@ -359,7 +359,7 @@ class SubsumptionChecker:
         self._schema_token = _schema_token(self.schema)
         # All memo dictionaries are keyed on interned concept ids
         # (:mod:`repro.concepts.intern`): one attribute read plus a small-int
-        # hash per lookup, instead of structurally hashing a deep AST.
+        # hash per lookup, and a hit compares no structures.
         self._cache: Dict[Tuple[int, int], bool] = {}
         self._signatures: Dict[int, Signature] = {}
         self._profiles: Dict[int, ConceptProfile] = {}

@@ -223,7 +223,8 @@ def run_batch_workload(
     catalog, the sharded subsumer lists and (for the DL workloads) the
     batch plans equal the sequential ones, and returns timings plus the
     batch-layer counters.  ``cold=True`` (default) clears the process-wide
-    decision caches between modes so neither inherits the other's work.
+    decision caches before each phase of each mode (registration, stream
+    matching, declared-query planning) so neither inherits the other's work.
     """
     schema, state, catalog, stream = batch_workload_setup(workload, views, queries, seed)
     items = list(catalog.items())
@@ -286,6 +287,9 @@ def run_batch_workload(
         sequential.catalog.refresh_all(state)
         batched.catalog.refresh_all(state)
         sequential_plans = [sequential.plan(query) for query in declared_queries]
+        if cold:
+            batched.checker.clear_cache()
+            clear_shared_decision_cache()
         outcomes = batched.answer_batch(declared_queries, state, shards=shards, backend=backend)
         plans_equal = all(
             _plan_fingerprint(outcome.plan) == _plan_fingerprint(plan)

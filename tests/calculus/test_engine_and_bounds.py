@@ -61,6 +61,25 @@ class TestEngineBehaviour:
                 medical_schema(),
             )
 
+    def test_decisions_never_hash_the_schema(self, monkeypatch):
+        # The budget reads the schema's size from the schema itself; hashing
+        # a schema builds the frozenset of all its axioms.
+        schema = medical_schema()
+        query = query_patient_concept()
+        calls = []
+        structural = Schema.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return structural(self)
+
+        monkeypatch.setattr(Schema, "__hash__", counting_hash)
+        cold = decide_subsumption(query, view_patient_concept(), schema)
+        seed = decide_subsumption(query, b.concept("HashProbe"), schema).completion.pair
+        warm = decide_subsumption(query, view_patient_concept(), schema, seed=seed)
+        assert cold.subsumed and warm.subsumed
+        assert calls == []
+
     def test_rule_categories_map(self):
         categories = CompletionEngine().rule_categories()
         assert categories["D1"] == "decomposition"

@@ -1,8 +1,10 @@
 """Tests for the size measures and the traversal utilities."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concepts import builders as b
+from repro.concepts.schema import InclusionAxiom
 from repro.concepts.size import concept_size, path_size, schema_size, sl_concept_size
 from repro.concepts.syntax import (
     AtMostOne,
@@ -22,7 +24,13 @@ from repro.concepts.visitors import (
 )
 from repro.workloads.medical import medical_schema, query_patient_concept
 
-from ..strategies import concepts
+from ..strategies import (
+    adversarial_schemas,
+    concepts,
+    deep_chain_schemas,
+    necessity_schemas,
+    schemas,
+)
 
 
 class TestSizes:
@@ -47,6 +55,16 @@ class TestSizes:
 
     def test_schema_size_of_medical_schema(self):
         assert schema_size(medical_schema()) > 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(schemas(), deep_chain_schemas(), necessity_schemas(), adversarial_schemas()))
+    def test_schema_size_is_the_sum_over_axioms(self, schema):
+        expected = sum(
+            2 + sl_concept_size(axiom.right) if isinstance(axiom, InclusionAxiom) else 4
+            for axiom in schema.axioms()
+        )
+        assert schema_size(schema) == expected
+        assert schema_size(schema) == expected  # the kept value
 
     @settings(max_examples=50, deadline=None)
     @given(concepts(max_depth=3))

@@ -34,6 +34,26 @@ class TestBatchWorkloadDriver:
         assert report["declared_queries"] > 0
         assert report["batch_profiles_computed"] > 0
 
+    def test_answer_phase_does_not_inherit_sequential_planning(self, monkeypatch):
+        # cold=True: the batched answer phase decides its declared queries
+        # itself, whatever sequential plan() left in the shared cache.
+        from repro.core.checker import clear_shared_decision_cache
+        from repro.optimizer.optimizer import SemanticQueryOptimizer
+
+        counters = ("batch_told_seeded", "batch_filter_rejections", "batch_profiles_computed")
+        inheriting = run_batch_workload("trading", views=16, queries=6, shards=2)
+        plan = SemanticQueryOptimizer.plan
+
+        def plan_leaving_no_decisions(self, query):
+            outcome = plan(self, query)
+            clear_shared_decision_cache()
+            return outcome
+
+        monkeypatch.setattr(SemanticQueryOptimizer, "plan", plan_leaving_no_decisions)
+        isolated = run_batch_workload("trading", views=16, queries=6, shards=2)
+        assert_green(isolated)
+        assert [inheriting[key] for key in counters] == [isolated[key] for key in counters]
+
     def test_synthetic_workload_green(self):
         report = run_batch_workload("synthetic", views=8, queries=4, shards=2, seed=3)
         assert_green(report)
