@@ -22,8 +22,8 @@ sets it maintains, incrementally on every mutation,
 
 * membership constraints indexed by subject and by the top-level concept
   constructor (``And``, ``ExistsPath``, ...),
-* attribute constraints (edges) indexed by subject, by ``(subject,
-  attribute)`` and by filler,
+* attribute constraints (edges) indexed by ``(subject, attribute)`` and
+  by filler,
 * path constraints indexed by subject,
 * a sorted view of facts and goals kept in insertion-sorted order with
   cached sort keys (so determinism never requires re-sorting or
@@ -260,7 +260,6 @@ class _SystemIndex:
         "sorted_entries",
         "memberships_by_subject",
         "memberships_by_ctor",
-        "edges_by_subject",
         "edges_by_subject_attr",
         "edges_by_filler",
         "paths_by_subject",
@@ -274,7 +273,6 @@ class _SystemIndex:
         self.sorted_entries: List[Tuple[Tuple, int, Constraint]] = []
         self.memberships_by_subject: Dict[Individual, Set[MembershipConstraint]] = {}
         self.memberships_by_ctor: Dict[Type[Concept], Set[MembershipConstraint]] = {}
-        self.edges_by_subject: Dict[Individual, Set[AttributeConstraint]] = {}
         self.edges_by_subject_attr: Dict[
             Tuple[Individual, Attribute], Set[AttributeConstraint]
         ] = {}
@@ -289,7 +287,6 @@ class _SystemIndex:
             self.memberships_by_subject.setdefault(constraint.subject, set()).add(constraint)
             self.memberships_by_ctor.setdefault(type(constraint.concept), set()).add(constraint)
         elif isinstance(constraint, AttributeConstraint):
-            self.edges_by_subject.setdefault(constraint.subject, set()).add(constraint)
             self.edges_by_subject_attr.setdefault(
                 (constraint.subject, constraint.attribute), set()
             ).add(constraint)
@@ -309,7 +306,6 @@ class _SystemIndex:
         clone.sorted_entries = list(self.sorted_entries)
         clone.memberships_by_subject = _copy_buckets(self.memberships_by_subject)
         clone.memberships_by_ctor = _copy_buckets(self.memberships_by_ctor)
-        clone.edges_by_subject = _copy_buckets(self.edges_by_subject)
         clone.edges_by_subject_attr = _copy_buckets(self.edges_by_subject_attr)
         clone.edges_by_filler = _copy_buckets(self.edges_by_filler)
         clone.paths_by_subject = _copy_buckets(self.paths_by_subject)
@@ -446,12 +442,6 @@ class Pair:
             return frozenset()
         return frozenset(constraint.filler for constraint in bucket)
 
-    def has_fact(self, constraint: Constraint) -> bool:
-        return constraint in self._fact_index.constraints
-
-    def has_goal(self, constraint: Constraint) -> bool:
-        return constraint in self._goal_index.constraints
-
     def sorted_facts(self) -> List[Constraint]:
         """The facts in a deterministic order (used by the rules for determinism)."""
         return self._fact_index.sorted()
@@ -476,10 +466,6 @@ class Pair:
         """The membership facts whose concept has the given top-level constructor."""
         return self._fact_index.memberships_by_ctor.get(ctor, _EMPTY_BUCKET)
 
-    def fact_edges_at(self, subject: Individual) -> AbstractSet[AttributeConstraint]:
-        """The attribute facts ``subject R t`` (read-only view)."""
-        return self._fact_index.edges_by_subject.get(subject, _EMPTY_BUCKET)
-
     def fact_edges_into(self, filler: Individual) -> AbstractSet[AttributeConstraint]:
         """The attribute facts ``s R filler`` (reverse-edge lookup, read-only view)."""
         return self._fact_index.edges_by_filler.get(filler, _EMPTY_BUCKET)
@@ -489,10 +475,6 @@ class Pair:
     ) -> AbstractSet[AttributeConstraint]:
         """The attribute facts ``subject attribute t`` as full constraints."""
         return self._fact_index.edges_by_subject_attr.get((subject, attribute), _EMPTY_BUCKET)
-
-    def fact_paths_at(self, subject: Individual) -> AbstractSet[PathConstraint]:
-        """The path facts ``subject p t`` (read-only view)."""
-        return self._fact_index.paths_by_subject.get(subject, _EMPTY_BUCKET)
 
     def has_path_fact(self, subject: Individual, path: Path) -> bool:
         """``True`` iff some fact ``subject path t`` exists (D4/C3 witness test)."""
@@ -514,12 +496,6 @@ class Pair:
     def goal_memberships_at(self, subject: Individual) -> AbstractSet[MembershipConstraint]:
         """The membership goals ``subject : C`` (read-only view)."""
         return self._goal_index.memberships_by_subject.get(subject, _EMPTY_BUCKET)
-
-    def goal_memberships_with_ctor(
-        self, ctor: Type[Concept]
-    ) -> AbstractSet[MembershipConstraint]:
-        """The membership goals whose concept has the given top-level constructor."""
-        return self._goal_index.memberships_by_ctor.get(ctor, _EMPTY_BUCKET)
 
     # -- mutation ----------------------------------------------------------------
 

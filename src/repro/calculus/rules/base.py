@@ -64,8 +64,9 @@ class RuleApplication:
     substitution:
         For the identification rules D3 and S4: the pair ``(old, new)`` of the
         replacement performed on the whole pair, else ``None``.
-    description:
-        A short human-readable account of the firing (used in traces).
+
+    Every firing adds a constraint or performs a substitution, so these
+    fields alone render it.
     """
 
     rule: str
@@ -73,7 +74,6 @@ class RuleApplication:
     added_facts: Tuple[Constraint, ...] = ()
     added_goals: Tuple[Constraint, ...] = ()
     substitution: Optional[Tuple[Individual, Individual]] = None
-    description: str = ""
 
     def __str__(self) -> str:
         parts = []
@@ -84,8 +84,7 @@ class RuleApplication:
         if self.substitution is not None:
             old, new = self.substitution
             parts.append(f"[{old} := {new}]")
-        detail = "; ".join(parts) if parts else self.description
-        return f"{self.rule}: {detail}"
+        return f"{self.rule}: {'; '.join(parts)}"
 
 
 class Rule:

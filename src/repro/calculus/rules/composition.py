@@ -43,10 +43,7 @@ class RuleC1(Rule):
         ):
             added = pair.add_facts([MembershipConstraint(candidate.subject, concept)])
             if added:
-                return RuleApplication(
-                    self.name, self.category, added_facts=added,
-                    description=f"compose {candidate}",
-                )
+                return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -65,9 +62,7 @@ class RuleC2(Rule):
     def apply_to(self, candidate, pair: Pair, schema) -> Optional[RuleApplication]:
         added = pair.add_facts([MembershipConstraint(candidate.subject, candidate.concept)])
         if added:
-            return RuleApplication(
-                self.name, self.category, added_facts=added, description=str(candidate)
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -93,9 +88,7 @@ class RuleC3(Rule):
             return None
         added = pair.add_facts([MembershipConstraint(candidate.subject, concept)])
         if added:
-            return RuleApplication(
-                self.name, self.category, added_facts=added, description=str(candidate)
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -123,9 +116,7 @@ class RuleC4(Rule):
             return None
         added = pair.add_facts([MembershipConstraint(candidate.subject, concept)])
         if added:
-            return RuleApplication(
-                self.name, self.category, added_facts=added, description=str(candidate)
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -163,12 +154,7 @@ class RuleC5(Rule):
             for fact in pair.path_facts_with(intermediate, tail):
                 added = pair.add_facts([PathConstraint(subject, path, fact.filler)])
                 if added:
-                    return RuleApplication(
-                        self.name,
-                        self.category,
-                        added_facts=added,
-                        description=f"compose path at {subject} via {intermediate}",
-                    )
+                    return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -203,12 +189,7 @@ class RuleC6(Rule):
                 continue
             added = pair.add_facts([PathConstraint(subject, path, filler)])
             if added:
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    added_facts=added,
-                    description=f"compose step at {subject} via {filler}",
-                )
+                return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 

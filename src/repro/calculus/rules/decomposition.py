@@ -57,12 +57,7 @@ class RuleD1(Rule):
         ]
         added = pair.add_facts(additions)
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"decompose {candidate}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -82,12 +77,7 @@ class RuleD2(Rule):
         )
         added = pair.add_facts([converse])
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"invert {candidate}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -109,12 +99,7 @@ class RuleD3(Rule):
         subject = candidate.subject
         constant = Constant(candidate.concept.constant)
         if pair.apply_substitution(subject, constant):
-            return RuleApplication(
-                self.name,
-                self.category,
-                substitution=(subject, constant),
-                description=f"identify {subject} with constant {constant}",
-            )
+            return RuleApplication(self.name, self.category, substitution=(subject, constant))
         return None
 
 
@@ -139,12 +124,7 @@ class RuleD4(Rule):
         fresh = pair.fresh_variable()
         added = pair.add_facts([PathConstraint(subject, candidate.concept.path, fresh)])
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"witness {candidate} with fresh {fresh}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -168,12 +148,7 @@ class RuleD5(Rule):
             [PathConstraint(candidate.subject, candidate.concept.left, candidate.subject)]
         )
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"loop for {candidate}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -213,12 +188,7 @@ class RuleD6(Rule):
             ]
         )
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"unfold {candidate} via fresh {fresh}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -240,12 +210,7 @@ class RuleD7(Rule):
         ]
         added = pair.add_facts(additions)
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"flatten {candidate}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 

@@ -43,12 +43,7 @@ class RuleG1(Rule):
             ]
         )
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_goals=added,
-                description=f"split goal {candidate}",
-            )
+            return RuleApplication(self.name, self.category, added_goals=added)
         return None
 
 
@@ -74,12 +69,7 @@ class RuleG2(Rule):
         ):
             added = pair.add_goals([MembershipConstraint(filler, step.concept)])
             if added:
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    added_goals=added,
-                    description=f"goal filler {filler} : {step.concept}",
-                )
+                return RuleApplication(self.name, self.category, added_goals=added)
         return None
 
 
@@ -112,12 +102,7 @@ class RuleG3(Rule):
                 ]
             )
             if added:
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    added_goals=added,
-                    description=f"goal continuation at {filler}",
-                )
+                return RuleApplication(self.name, self.category, added_goals=added)
         return None
 
 

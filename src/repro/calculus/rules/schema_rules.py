@@ -78,12 +78,7 @@ class RuleS1(Rule):
                 [MembershipConstraint(candidate.subject, Primitive(superclass))]
             )
             if added:
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    added_facts=added,
-                    description=f"{candidate.concept.name} ⊑ {superclass}",
-                )
+                return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -112,14 +107,7 @@ class RuleS2(Rule):
                     [MembershipConstraint(fact.filler, Primitive(filler_class))]
                 )
                 if added:
-                    return RuleApplication(
-                        self.name,
-                        self.category,
-                        added_facts=added,
-                        description=(
-                            f"{candidate.concept.name} ⊑ ∀{attribute}.{filler_class}"
-                        ),
-                    )
+                    return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -145,12 +133,7 @@ class RuleS3(Rule):
             ]
         )
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"{candidate.attribute.name} ⊑ {domain} × {range_}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -188,14 +171,7 @@ class RuleS4(Rule):
             keep_candidates = [f for f in fillers if f != variables[-1]]
             old, new = variables[-1], keep_candidates[0]
             if pair.apply_substitution(old, new):
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    substitution=(old, new),
-                    description=(
-                        f"{candidate.concept.name} ⊑ (≤1 {attribute_name}): {old} := {new}"
-                    ),
-                )
+                return RuleApplication(self.name, self.category, substitution=(old, new))
         return None
 
 
@@ -236,12 +212,7 @@ class RuleS5(Rule):
         fresh = pair.fresh_variable()
         added = pair.add_facts([AttributeConstraint(subject, attribute, fresh)])
         if added:
-            return RuleApplication(
-                self.name,
-                self.category,
-                added_facts=added,
-                description=f"necessary {attribute.name} filler {fresh} for {subject}",
-            )
+            return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 
@@ -270,15 +241,7 @@ class RuleS6(Rule):
                 [MembershipConstraint(candidate.subject, Primitive(domain))]
             )
             if added:
-                return RuleApplication(
-                    self.name,
-                    self.category,
-                    added_facts=added,
-                    description=(
-                        f"{candidate.concept.name} ⊑ ∃{attribute}, "
-                        f"{attribute} ⊑ {domain} × {_range}"
-                    ),
-                )
+                return RuleApplication(self.name, self.category, added_facts=added)
         return None
 
 

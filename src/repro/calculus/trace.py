@@ -29,7 +29,7 @@ def format_application(index: int, application: RuleApplication) -> str:
     if application.substitution is not None:
         old, new = application.substitution
         parts.append(f"[{old} := {new}]")
-    body = "   ".join(parts) if parts else application.description
+    body = "   ".join(parts)
     return f"{index:>3}. {body:<90} {application.rule}"
 
 

@@ -52,15 +52,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import socket
-import socketserver
 import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .faults import CircuitBreaker, FaultPolicy, network_fault_policy
-from .net import TCPService
+from .net import Connection, LineRequestHandler, TCPService
 
 __all__ = [
     "DecisionCacheServer",
@@ -215,85 +213,58 @@ def _parse_key(token: str) -> Tuple[int, int]:
     return int(query_id), int(view_id)
 
 
-class _CacheHandler(socketserver.StreamRequestHandler):
+def _parse_value(key: str, value: str) -> Tuple[Tuple[int, int], bool]:
+    if value not in ("0", "1"):
+        raise ValueError(value)
+    return _parse_key(key), value == "1"
+
+
+def _parse_stat(name: str, value: str) -> Tuple[str, object]:
+    try:
+        return name, int(value)
+    except ValueError:
+        return name, float(value)
+
+
+class _CacheHandler(LineRequestHandler):
     """One client connection: a loop of text commands (see docs/PROTOCOL.md)."""
 
-    # Request/response round trips are tiny; Nagle + delayed ACK would add
-    # ~40 ms stalls per decision lookup, dwarfing the completion it replaces.
-    disable_nagle_algorithm = True
+    max_line = _MAX_LINE_BYTES
 
-    def setup(self) -> None:  # noqa: D102 - socketserver plumbing
-        # The idle timeout keeps a hung (or merely silent) client from
-        # pinning this handler thread forever: the blocking readline
-        # below times out and the connection is closed server-side.
-        self.timeout = self.server.idle_timeout  # type: ignore[attr-defined]
-        super().setup()
-
-    def handle(self) -> None:  # noqa: D102 - protocol plumbing
+    def dispatch(self, command: str, args: List[str]) -> bool:  # noqa: D102
         store: _CacheStore = self.server.store  # type: ignore[attr-defined]
-        while True:
-            try:
-                line = self.rfile.readline(_MAX_LINE_BYTES)
-            except (TimeoutError, socket.timeout, ConnectionError):
-                return
-            if not line:
-                return
-            if len(line) >= _MAX_LINE_BYTES and not line.endswith(b"\n"):
-                # An oversized request line: everything up to the next
-                # newline would parse as garbage commands, so reject and
-                # drop the connection instead of resynchronizing.
-                self._reply("ERROR line too long")
-                return
-            try:
-                parts = line.decode("utf-8").strip().split()
-            except UnicodeDecodeError:
-                self._reply("ERROR malformed line")
-                continue
-            if not parts:
-                continue
-            command, args = parts[0].lower(), parts[1:]
-            try:
-                if command == "get" and len(args) >= 2:
-                    namespace = args[0]
-                    keys = [(namespace,) + _parse_key(token) for token in args[1:]]
-                    for (_, query_id, view_id), value in store.get(keys):
-                        self._reply(f"VALUE {query_id}:{view_id} {int(value)}")
-                    self._reply("END")
-                elif command == "set" and len(args) in (3, 4):
-                    noreply = len(args) == 4 and args[3] == "noreply"
-                    if len(args) == 4 and not noreply:
-                        raise ValueError(args[3])
-                    if args[2] not in ("0", "1"):
-                        raise ValueError(args[2])
-                    store.set((args[0],) + _parse_key(args[1]), args[2] == "1")
-                    if not noreply:
-                        self._reply("STORED")
-                elif command == "touch" and len(args) in (2, 3):
-                    noreply = len(args) == 3 and args[2] == "noreply"
-                    if len(args) == 3 and not noreply:
-                        raise ValueError(args[2])
-                    found = store.touch((args[0],) + _parse_key(args[1]))
-                    if not noreply:
-                        self._reply("TOUCHED" if found else "NOT_FOUND")
-                elif command == "flush" and len(args) == 1:
-                    self._reply(f"OK {store.flush_namespace(args[0])}")
-                elif command == "stats" and not args:
-                    for name, value in sorted(store.stats().items()):
-                        self._reply(f"STAT {name} {value}")
-                    self._reply("END")
-                elif command == "version" and not args:
-                    self._reply(f"VERSION {DecisionCacheServer.PROTOCOL_VERSION}")
-                elif command == "quit" and not args:
-                    return
-                else:
-                    self._reply("ERROR unknown command or bad arity")
-            except ValueError:
-                self._reply("ERROR malformed arguments")
-            except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-                return
-
-    def _reply(self, text: str) -> None:
-        self.wfile.write(text.encode("utf-8") + b"\r\n")
+        if command == "get" and len(args) >= 2:
+            namespace = args[0]
+            keys = [(namespace,) + _parse_key(token) for token in args[1:]]
+            for (_, query_id, view_id), value in store.get(keys):
+                self.reply(f"VALUE {query_id}:{view_id} {int(value)}")
+            self.reply("END")
+        elif command == "set" and len(args) in (3, 4):
+            noreply = len(args) == 4 and args[3] == "noreply"
+            if len(args) == 4 and not noreply:
+                raise ValueError(args[3])
+            key, value = _parse_value(args[1], args[2])
+            store.set((args[0],) + key, value)
+            if not noreply:
+                self.reply("STORED")
+        elif command == "touch" and len(args) in (2, 3):
+            noreply = len(args) == 3 and args[2] == "noreply"
+            if len(args) == 3 and not noreply:
+                raise ValueError(args[2])
+            found = store.touch((args[0],) + _parse_key(args[1]))
+            if not noreply:
+                self.reply("TOUCHED" if found else "NOT_FOUND")
+        elif command == "flush" and len(args) == 1:
+            self.reply(f"OK {store.flush_namespace(args[0])}")
+        elif command == "stats" and not args:
+            for name, value in sorted(store.stats().items()):
+                self.reply(f"STAT {name} {value}")
+            self.reply("END")
+        elif command == "version" and not args:
+            self.reply(f"VERSION {DecisionCacheServer.PROTOCOL_VERSION}")
+        else:
+            return False
+        return True
 
 
 class DecisionCacheServer(TCPService):
@@ -336,27 +307,6 @@ class DecisionCacheServer(TCPService):
 # ---------------------------------------------------------------------------
 
 
-class _Connection:
-    """One pooled client socket (used exclusively by the thread holding it)."""
-
-    __slots__ = ("sock", "rfile", "wfile")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.rfile = sock.makefile("rb")
-        self.wfile = sock.makefile("wb")
-
-    def close(self) -> None:
-        for handle in (self.rfile, self.wfile, self.sock):
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
-
-    def send(self, line: str) -> None:
-        self.wfile.write(line.encode("utf-8") + b"\r\n")
-
-
 class RemoteDecisionCache:
     """Client half of the shared cache; the ``SubsumptionChecker`` remote tier.
 
@@ -375,12 +325,13 @@ class RemoteDecisionCache:
     Fault model (self-healing): a socket fault tears down the failing
     connection and the operation is retried through a fresh dial under
     the jittered-backoff ``policy``; if the budget is exhausted the
-    shared :class:`~repro.database.faults.CircuitBreaker` trips and every
-    later call degrades to a cheap no-op miss (``None``) -- a crashed or
-    unreachable cache server degrades the fleet to cold per-process
-    caches instead of failing queries.  Unlike the pre-failover client,
-    the breaker re-probes automatically after its cooldown, so a
-    restarted server is re-adopted without intervention; :meth:`probe`
+    shared :class:`~repro.database.faults.CircuitBreaker` trips, the
+    idle pooled connections are closed, and every later call -- pooled
+    connection or not -- degrades to a cheap no-op miss (``None``)
+    without a dial or a pause: a crashed or unreachable cache server
+    degrades the fleet to cold per-process caches instead of failing
+    queries.  The breaker re-probes automatically after its cooldown, so
+    a restarted server is re-adopted without intervention; :meth:`probe`
     asks explicitly and :meth:`reconnect` force-resets.  Instances
     pickle by address and namespace only (connections are re-dialed on
     first use after unpickling), which is what lets process-backend
@@ -414,19 +365,13 @@ class RemoteDecisionCache:
 
     # -- connection management ---------------------------------------------
 
-    def _dial(self) -> _Connection:
-        sock = socket.create_connection(self.address, timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def _dial(self) -> Connection:
+        conn = Connection(self.address, timeout=self.timeout, max_line=_MAX_LINE_BYTES)
         with self._stats_lock:
             self.reconnects += 1
-        return _Connection(sock)
+        return conn
 
-    def _pool_checkout(self) -> Optional[_Connection]:
-        with self._pool_lock:
-            return self._pool.pop() if self._pool else None
-
-    def _checkin(self, conn: _Connection) -> None:
+    def _checkin(self, conn: Connection) -> None:
         with self._pool_lock:
             if len(self._pool) < self.pool_size:
                 self._pool.append(conn)
@@ -440,37 +385,43 @@ class RemoteDecisionCache:
             conn.close()
 
     def _exchange(self, perform):
-        """Run ``perform(conn)`` with reconnect-on-drop retries.
+        """Run ``perform(conn)`` under the fault policy; ``None`` when degraded.
 
-        Returns the result, or ``None`` when the client is degraded (the
-        breaker is open, or the retry budget was exhausted -- which trips
-        it).  Every operation routed through here is idempotent on the
-        wire, so a retry after a torn exchange is safe.
+        The breaker is asked once, before the first attempt: an open breaker
+        refuses the call at once (no dial, no pause, no recorded failure).
+        Each failed attempt closes its connection and counts in
+        :attr:`failures`; a spent budget records one breaker failure and
+        closes the idle pooled connections, which share the failed one's
+        fate.  Every operation here is idempotent on the wire.
         """
-        conn = self._pool_checkout()
-        if conn is None and not self.breaker.allow():
+        if not self.breaker.allow():
             return None
-        attempt = 0
-        while True:
-            try:
-                if conn is None:
-                    conn = self._dial()
-                result = perform(conn)
-            except OSError as error:
-                if conn is not None:
-                    conn.close()
-                    conn = None
-                with self._stats_lock:
-                    self.failures += 1
-                attempt += 1
-                if not self.policy.should_retry(attempt, error):
-                    self.breaker.record_failure()
-                    return None
-                self.policy.pause(attempt)
-                continue
-            self.breaker.record_success()
-            self._checkin(conn)
-            return result
+        with self._pool_lock:
+            conn = self._pool.pop() if self._pool else None
+
+        def attempt():
+            nonlocal conn
+            if conn is None:
+                conn = self._dial()
+            return perform(conn)
+
+        def on_fault(error: OSError) -> None:
+            nonlocal conn
+            if conn is not None:
+                conn.close()
+                conn = None
+            with self._stats_lock:
+                self.failures += 1
+
+        try:
+            result = self.policy.run(attempt, on_fault)
+        except OSError:
+            self.breaker.record_failure()
+            self._drain_pool()
+            return None
+        self.breaker.record_success()
+        self._checkin(conn)
+        return result
 
     @property
     def dead(self) -> bool:
@@ -482,13 +433,10 @@ class RemoteDecisionCache:
         reply = self._exchange(self._probe_version)
         return bool(reply)
 
-    def _probe_version(self, conn: _Connection) -> bool:
+    @staticmethod
+    def _probe_version(conn: Connection) -> bool:
         conn.send("version")
-        conn.wfile.flush()
-        reply = conn.rfile.readline(_MAX_LINE_BYTES)
-        if not reply:
-            raise ConnectionResetError("server closed the connection")
-        return reply.decode("utf-8").startswith("VERSION")
+        return conn.read_line().startswith("VERSION")
 
     def reconnect(self) -> bool:
         """Force-reset the breaker and re-probe; ``True`` when answered."""
@@ -518,20 +466,27 @@ class RemoteDecisionCache:
 
     # -- wire helpers (each runs on a checked-out connection) ---------------
 
-    def _read_values(self, conn: _Connection) -> Dict[Tuple[int, int], bool]:
-        values: Dict[Tuple[int, int], bool] = {}
+    @staticmethod
+    def _read_listing(conn: Connection, kind: str, parse) -> Dict:
+        """``<kind> <name> <value>`` lines up to ``END``, as ``dict(parse(name, value))``.
+
+        A line of another kind, or one ``parse`` rejects, is a protocol
+        error: the exchange is torn down and retried like a dropped one.
+        """
+        listing = {}
         while True:
-            reply = conn.rfile.readline(_MAX_LINE_BYTES)
-            if not reply:
-                raise ConnectionResetError("server closed the connection")
-            reply = reply.decode("utf-8").strip()
+            reply = conn.read_line()
             if reply == "END":
-                return values
-            kind, _, rest = reply.partition(" ")
-            if kind != "VALUE":
-                raise ConnectionResetError(f"protocol error: {reply!r}")
-            key_token, _, value = rest.partition(" ")
-            values[_parse_key(key_token)] = value == "1"
+                return listing
+            head, _, rest = reply.partition(" ")
+            name, _, value = rest.partition(" ")
+            try:
+                if head != kind:
+                    raise ValueError(head)
+                key, parsed = parse(name, value)
+            except ValueError:
+                raise ConnectionResetError(f"protocol error: {reply!r}") from None
+            listing[key] = parsed
 
     # -- the decision-cache surface ----------------------------------------
 
@@ -549,10 +504,9 @@ class RemoteDecisionCache:
         tokens = " ".join(f"{query_id}:{view_id}" for query_id, view_id in keys)
         line = f"get {self.namespace} {tokens}"
 
-        def perform(conn: _Connection) -> Dict[Tuple[int, int], bool]:
+        def perform(conn: Connection) -> Dict[Tuple[int, int], bool]:
             conn.send(line)
-            conn.wfile.flush()
-            return self._read_values(conn)
+            return self._read_listing(conn, "VALUE", _parse_value)
 
         values = self._exchange(perform)
         with self._stats_lock:
@@ -572,13 +526,13 @@ class RemoteDecisionCache:
         if not decisions:
             return
 
-        def perform(conn: _Connection) -> bool:
-            for (query_id, view_id), decision in decisions.items():
-                conn.send(
-                    f"set {self.namespace} {query_id}:{view_id} "
-                    f"{int(decision)} noreply"
+        def perform(conn: Connection) -> bool:
+            conn.send(
+                *(
+                    f"set {self.namespace} {query_id}:{view_id} {int(decision)} noreply"
+                    for (query_id, view_id), decision in decisions.items()
                 )
-            conn.wfile.flush()
+            )
             return True
 
         if self._exchange(perform):
@@ -588,9 +542,8 @@ class RemoteDecisionCache:
     def touch(self, query_id: int, view_id: int) -> None:
         """Refresh one entry's LRU recency without reading it."""
 
-        def perform(conn: _Connection) -> bool:
+        def perform(conn: Connection) -> bool:
             conn.send(f"touch {self.namespace} {query_id}:{view_id} noreply")
-            conn.wfile.flush()
             return True
 
         self._exchange(perform)
@@ -602,26 +555,9 @@ class RemoteDecisionCache:
         (the counters) and ``float`` otherwise (``hit_rate``).
         """
 
-        def perform(conn: _Connection) -> Dict[str, object]:
+        def perform(conn: Connection) -> Dict[str, object]:
             conn.send("stats")
-            conn.wfile.flush()
-            stats: Dict[str, object] = {}
-            while True:
-                reply = conn.rfile.readline(_MAX_LINE_BYTES)
-                if not reply:
-                    raise ConnectionResetError("server closed the connection")
-                reply = reply.decode("utf-8").strip()
-                if reply == "END":
-                    return stats
-                kind, _, rest = reply.partition(" ")
-                if kind != "STAT":
-                    raise ConnectionResetError(f"protocol error: {reply!r}")
-                name, _, value = rest.partition(" ")
-                try:
-                    stats[name] = int(value)
-                except ValueError:
-                    stats[name] = float(value)
-            return stats
+            return self._read_listing(conn, "STAT", _parse_stat)
 
         result = self._exchange(perform)
         return {} if result is None else result
@@ -629,12 +565,9 @@ class RemoteDecisionCache:
     def flush_namespace(self) -> None:
         """Eagerly drop every entry under this client's namespace."""
 
-        def perform(conn: _Connection) -> bool:
+        def perform(conn: Connection) -> bool:
             conn.send(f"flush {self.namespace}")
-            conn.wfile.flush()
-            reply = conn.rfile.readline(_MAX_LINE_BYTES)
-            if not reply:
-                raise ConnectionResetError("server closed the connection")
+            conn.read_line()
             return True
 
         self._exchange(perform)

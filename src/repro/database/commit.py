@@ -70,8 +70,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager, suppress
+from typing import Callable, Dict, Optional
 
 from .faults import FaultPolicy
 from .store import EpochRecord
@@ -209,11 +209,6 @@ class CommitScheduler:
         return self._degraded is not None
 
     @property
-    def degraded_error(self) -> Optional[BaseException]:
-        """The persistent fault that flipped the scheduler read-only."""
-        return self._degraded
-
-    @property
     def last_ticket(self) -> Optional[CommitTicket]:
         """The calling thread's most recent ticket (global fallback).
 
@@ -272,7 +267,7 @@ class CommitScheduler:
             with self._state_lock:
                 self._tickets[record.sequence] = ticket
             try:
-                self._append_with_retries(record)
+                self._append_under_policy(record)
             except OSError as error:
                 self._enter_degraded(error)
             except WalError as error:
@@ -287,37 +282,27 @@ class CommitScheduler:
                 self._enter_degraded(error)
         return ticket
 
-    def _append_with_retries(self, record: EpochRecord) -> None:
-        attempt = 0
-        while True:
-            landed = self.wal.appended_sequence >= record.sequence
-            try:
-                if landed:
-                    # The frame reached the file on an earlier attempt and
-                    # only its covering fsync failed: re-appending would
-                    # duplicate the sequence (poisoning recovery), so the
-                    # retry targets the sync alone.
-                    self.wal.sync()
-                else:
-                    self.wal.append(record)
-                return
-            except OSError as error:
-                if self.wal.appended_sequence < record.sequence:
-                    # The frame itself tore: drop the partial bytes before
-                    # any retry may append after them.
-                    self._discard_torn_tail_quietly()
-                attempt += 1
-                if not self.policy.should_retry(attempt, error):
-                    raise
-                self.policy.pause(attempt)
+    def _append_under_policy(self, record: EpochRecord) -> None:
+        def attempt() -> None:
+            if self.wal.appended_sequence >= record.sequence:
+                # The frame reached the file on an earlier attempt and only
+                # its covering fsync failed: re-appending would duplicate
+                # the sequence (poisoning recovery), so the retry targets
+                # the sync alone.
+                self.wal.sync()
+            else:
+                self.wal.append(record)
 
-    def _discard_torn_tail_quietly(self) -> None:
-        try:
-            self.wal.discard_torn_tail()
-        except OSError:
-            # The repair itself hit the fault; the retry (or degradation)
-            # path owns the consequences.
-            pass
+        def discard_torn_frame(error: OSError) -> None:
+            if self.wal.appended_sequence < record.sequence:
+                # The frame itself tore: drop the partial bytes before any
+                # retry may append after them.  A repair that hits the
+                # fault too leaves the consequences to the retry (or
+                # degradation) path.
+                with suppress(OSError):
+                    self.wal.discard_torn_tail()
+
+        self.policy.run(attempt, on_fault=discard_torn_frame)
 
     # -- acknowledgment ----------------------------------------------------
 
@@ -375,24 +360,22 @@ class CommitScheduler:
         before = self.durable_sequence
         if window["target"] <= before and not window["dir_sync"]:
             return
-        attempt = 0
-        while True:
-            try:
-                self.wal.fs.fsync(window["path"])
-                if window["dir_sync"]:
-                    self.wal.fs.fsync_dir(self.wal.path)
-                break
-            except OSError as error:
-                attempt += 1
-                if not self.policy.should_retry(attempt, error):
-                    # Take the append fence first: ticket registration
-                    # happens under it, so degradation can never miss a
-                    # ticket registered concurrently (it is either failed
-                    # here or rejected at append entry).
-                    with self._wal_lock:
-                        self._enter_degraded(error)
-                    return
-                self.policy.pause(attempt)
+
+        def fsync_window() -> None:
+            self.wal.fs.fsync(window["path"])
+            if window["dir_sync"]:
+                self.wal.fs.fsync_dir(self.wal.path)
+
+        try:
+            self.policy.run(fsync_window)
+        except OSError as error:
+            # Take the append fence first: ticket registration happens
+            # under it, so degradation can never miss a ticket registered
+            # concurrently (it is either failed here or rejected at
+            # append entry).
+            with self._wal_lock:
+                self._enter_degraded(error)
+            return
         with self._wal_lock:
             self.wal.complete_sync(window)
         self.group_acks += max(0, self.durable_sequence - before)
@@ -406,23 +389,11 @@ class CommitScheduler:
         with self._wal_lock:
             self.check_writable()
             try:
-                self._sync_with_retries()
+                self.policy.run(self.wal.sync)
             except OSError as error:
                 self._enter_degraded(error)
                 self.check_writable()
         return self.durable_sequence
-
-    def _sync_with_retries(self) -> None:
-        attempt = 0
-        while True:
-            try:
-                self.wal.sync()
-                return
-            except OSError as error:
-                attempt += 1
-                if not self.policy.should_retry(attempt, error):
-                    raise
-                self.policy.pause(attempt)
 
     # -- degradation & healing --------------------------------------------
 
@@ -470,7 +441,7 @@ class CommitScheduler:
                 return False
             try:
                 self.wal.discard_torn_tail()
-                self._sync_with_retries()
+                self.policy.run(self.wal.sync)
             except OSError:
                 return False
             with self._state_lock:
@@ -482,10 +453,3 @@ class CommitScheduler:
         """Hold the WAL fence (checkpoints, close) against group flushes."""
         with self._wal_lock:
             yield
-
-    # -- compat ------------------------------------------------------------
-
-    def tickets_behind(self, sequence: int) -> List[CommitTicket]:
-        """Pending tickets at or below ``sequence`` (diagnostics/tests)."""
-        with self._state_lock:
-            return [t for s, t in sorted(self._tickets.items()) if s <= sequence]

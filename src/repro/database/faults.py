@@ -11,11 +11,13 @@ frames).  This module is the shared home of both:
   :func:`~repro.database.wal.is_retryable_io_error`, network faults on
   :func:`is_retryable_net_error`) and optional **jitter** so a fleet of
   reconnecting clients does not thundering-herd a recovering server.
-  ``repro.database.commit`` re-exports it unchanged.
+  :meth:`FaultPolicy.run` is the system's one retry loop;
+  ``repro.database.commit`` re-exports the class unchanged.
 * :class:`CircuitBreaker` -- consecutive-failure trip wire with a
   cooldown-gated half-open probe, so a client facing a dead server fails
-  *fast* (no per-call dial timeout) yet re-probes automatically: the
-  self-healing half of graceful degradation.
+  *fast* (no dial, no backoff) yet re-probes automatically: the
+  self-healing half of graceful degradation.  A client asks it once per
+  exchange and records one failure per spent retry budget.
 * :class:`StalenessError` -- typed failure of a freshness contract (a
   replica that cannot catch up within its polling budget), carrying the
   observed ``lag`` and the violated ``bound``.
@@ -36,9 +38,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .wal import is_retryable_io_error
+
+T = TypeVar("T")
 
 __all__ = [
     "CircuitBreaker",
@@ -112,6 +116,29 @@ class FaultPolicy:
     def pause(self, attempt: int) -> None:
         """Back off before retry number ``attempt`` (1-based)."""
         self.sleep(self.delay(attempt))
+
+    def run(
+        self,
+        operation: Callable[[], T],
+        on_fault: Optional[Callable[[OSError], None]] = None,
+    ) -> T:
+        """Call ``operation`` until it returns: the one bounded-retry loop.
+
+        Each ``OSError`` is a failed attempt: ``on_fault`` sees it first,
+        then the policy pauses and retries, or re-raises once the budget is
+        spent or ``retryable`` rejects it.  Other exceptions propagate at once.
+        """
+        attempt = 0
+        while True:
+            try:
+                return operation()
+            except OSError as error:
+                if on_fault is not None:
+                    on_fault(error)
+                attempt += 1
+                if not self.should_retry(attempt, error):
+                    raise
+                self.pause(attempt)
 
 
 def network_fault_policy(

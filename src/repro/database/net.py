@@ -1,10 +1,12 @@
-"""TCP serving plumbing shared by the decision-cache and replica servers.
+"""TCP plumbing shared by both wire protocols: each side of an exchange, once.
 
-Both servers run a :mod:`socketserver` threading server on a daemon thread
-behind the same ``address``/``start``/``close`` lifecycle.  Closing drops
-every established connection too: a closed server must look exactly like a
-dead one, so self-healing clients take their reconnect path instead of
-talking to a ghost handler.
+* :class:`TCPService` -- a :mod:`socketserver` threading server on a daemon
+  thread.  Closing drops every established connection too: a closed server
+  must look exactly like a dead one, so self-healing clients take their
+  reconnect path instead of talking to a ghost handler.
+* :class:`LineRequestHandler` -- the server's request loop (docs/PROTOCOL.md,
+  "Request lines"); a protocol adds its line bound and dispatch.
+* :class:`Connection` -- the client's socket.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = ["TCPService"]
+__all__ = ["Connection", "LineRequestHandler", "TCPService"]
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
@@ -110,3 +112,107 @@ class TCPService:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class LineRequestHandler(socketserver.StreamRequestHandler):
+    """One connection of a line protocol: requests are read and answered in turn.
+
+    The loop ends on end of stream, on the idle timeout, after ``ERROR line
+    too long`` (everything up to the next newline would parse as garbage, so
+    the server hangs up instead of resynchronizing), on ``quit`` and once a
+    command sets :attr:`close_connection`.  Command words reach
+    :meth:`dispatch` in lower case; subclasses set ``max_line`` and
+    implement :meth:`dispatch`.
+    """
+
+    # Request/response round trips are tiny; Nagle + delayed ACK would add
+    # ~40 ms stalls to each one.
+    disable_nagle_algorithm = True
+    #: The protocol's request-line bound in bytes, newline included.
+    max_line: int
+
+    def setup(self) -> None:  # noqa: D102 - socketserver plumbing
+        # A silent client must not pin this handler thread forever.
+        self.timeout = self.server.idle_timeout  # type: ignore[attr-defined]
+        super().setup()
+
+    def handle(self) -> None:  # noqa: D102 - protocol plumbing
+        self.close_connection = False
+        while not self.close_connection:
+            try:
+                line = self.rfile.readline(self.max_line)
+            except (TimeoutError, ConnectionError):
+                return
+            if not line:
+                return
+            if len(line) >= self.max_line and not line.endswith(b"\n"):
+                self.reply("ERROR line too long")
+                return
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError:
+                self.reply("ERROR malformed line")
+                continue
+            if not parts:
+                continue
+            command, args = parts[0].lower(), parts[1:]
+            if command == "quit" and not args:
+                return
+            try:
+                if not self.dispatch(command, args):
+                    self.reply("ERROR unknown command or bad arity")
+            except ValueError:
+                self.reply("ERROR malformed arguments")
+            except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+                return
+
+    def dispatch(self, command: str, args: List[str]) -> bool:
+        """Answer one request; ``False`` for an unknown command or bad arity."""
+        raise NotImplementedError
+
+    def reply(self, text: str) -> None:
+        """Send one response line."""
+        self.wfile.write(text.encode("utf-8") + b"\r\n")
+
+
+class Connection:
+    """One client socket of a line protocol (used by one thread at a time).
+
+    ``timeout`` bounds the dial and every read; :attr:`rfile` also serves
+    framed reads.
+    """
+
+    __slots__ = ("sock", "rfile", "wfile", "max_line")
+
+    def __init__(self, address: Tuple[str, int], *, timeout: float, max_line: int) -> None:
+        self.sock = socket.create_connection(address, timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+        self.wfile = self.sock.makefile("wb")
+        self.max_line = max_line
+
+    def send(self, *lines: str) -> None:
+        """Write request lines, buffered, and flush them as one write."""
+        for line in lines:
+            self.wfile.write(line.encode("utf-8") + b"\r\n")
+        self.wfile.flush()
+
+    def read_line(self) -> str:
+        """One response line of at most ``max_line`` bytes, decoded and stripped.
+
+        A closed stream or a torn line raises ``ConnectionResetError``.
+        """
+        line = self.rfile.readline(self.max_line)
+        if not line.endswith(b"\n"):
+            raise ConnectionResetError(
+                "server closed the connection" if not line else "torn or oversized response line"
+            )
+        return line.decode("utf-8", "replace").strip()
+
+    def close(self) -> None:
+        """Close the socket and its files; errors are ignored."""
+        for handle in (self.rfile, self.wfile, self.sock):
+            try:
+                handle.close()
+            except OSError:  # pragma: no cover - best-effort close
+                pass

@@ -49,8 +49,6 @@ rebase rules) is normatively specified in ``docs/PROTOCOL.md``.
 from __future__ import annotations
 
 import pickle
-import socket
-import socketserver
 import threading
 import zlib
 from typing import Dict, List, Optional, Tuple
@@ -62,7 +60,7 @@ from .faults import (
     StalenessError,
     network_fault_policy,
 )
-from .net import TCPService
+from .net import Connection, LineRequestHandler, TCPService
 from .store import DatabaseState, EpochRecord
 from .wal import _HEADER, _encode_frame, catalog_identity
 
@@ -83,6 +81,12 @@ PROTOCOL_VERSION = "repro-replica/1"
 #: ``ERROR`` instead of sending a frame over it.  The WAL's on-disk frame
 #: bound is larger and applies to log files only.
 _MAX_WIRE_FRAME_BYTES = 64 << 20
+
+#: Hard cap on one request or response line; longer lines are an error.
+_MAX_LINE_BYTES = 4096
+
+#: The integer fields each response header carries (docs/PROTOCOL.md 2.3).
+_HEADER_FIELDS = {"SNAPSHOT": 3, "DELTA": 2, "PRIMARY": 2}
 
 
 class ReplicaProtocolError(RuntimeError):
@@ -194,57 +198,27 @@ class _ReplicaState:
             return self.base_sequence, self.base_generation
 
 
-class _ReplicaHandler(socketserver.StreamRequestHandler):
+class _ReplicaHandler(LineRequestHandler):
     """One replica connection: HELLO/POLL/STAT lines, framed responses."""
 
-    # Poll round trips are latency-bound; don't let Nagle + delayed ACK
-    # stall the catch-up protocol.
-    disable_nagle_algorithm = True
+    max_line = _MAX_LINE_BYTES
 
-    #: Hard cap on one request line; longer lines are a client error.
-    MAX_LINE_BYTES = 4096
-
-    def setup(self) -> None:  # noqa: D102 - socketserver plumbing
-        # Idle timeout: a hung client must not pin this handler thread
-        # (and its retained response buffers) forever.
-        self.timeout = self.server.idle_timeout  # type: ignore[attr-defined]
-        super().setup()
-
-    def handle(self) -> None:  # noqa: D102 - protocol plumbing
+    def dispatch(self, command: str, args: List[str]) -> bool:  # noqa: D102
         shared: _ReplicaState = self.server.replica_state  # type: ignore[attr-defined]
-        while True:
-            try:
-                line = self.rfile.readline(self.MAX_LINE_BYTES)
-            except (TimeoutError, socket.timeout, ConnectionError):
-                return
-            if not line:
-                return
-            if len(line) >= self.MAX_LINE_BYTES and not line.endswith(b"\n"):
-                self._line("ERROR line too long")
-                return
-            parts = line.decode("utf-8", "replace").strip().split()
-            if not parts:
-                continue
-            command = parts[0].upper()
-            try:
-                if command == "HELLO" and len(parts) == 3:
-                    if parts[1] != PROTOCOL_VERSION:
-                        self._line(f"ERROR unsupported version {parts[1]}")
-                        return
-                    self._respond(shared, int(parts[2]))
-                elif command == "POLL" and len(parts) == 2:
-                    self._respond(shared, int(parts[1]))
-                elif command == "STAT" and len(parts) == 1:
-                    sequence, generation = shared.position()
-                    self._line(f"PRIMARY {sequence} {generation}")
-                elif command == "QUIT":
-                    return
-                else:
-                    self._line("ERROR unknown command or bad arity")
-            except ValueError:
-                self._line("ERROR malformed arguments")
-            except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-                return
+        if command == "hello" and len(args) == 2:
+            if args[0] != PROTOCOL_VERSION:
+                self.reply(f"ERROR unsupported version {args[0]}")
+                self.close_connection = True
+            else:
+                self._respond(shared, int(args[1]))
+        elif command == "poll" and len(args) == 1:
+            self._respond(shared, int(args[0]))
+        elif command == "stat" and not args:
+            sequence, generation = shared.position()
+            self.reply(f"PRIMARY {sequence} {generation}")
+        else:
+            return False
+        return True
 
     def _respond(self, shared: _ReplicaState, have_sequence: int) -> None:
         kind, payload, records = shared.response_for(have_sequence)
@@ -256,20 +230,14 @@ class _ReplicaHandler(socketserver.StreamRequestHandler):
         if oversized > _MAX_WIRE_FRAME_BYTES:
             bound = _MAX_WIRE_FRAME_BYTES
             unit = f"{bound >> 20} MiB" if bound >= 1 << 20 else f"{bound >> 10} KiB"
-            self._line(f"ERROR frame of {oversized} bytes exceeds the {unit} wire bound")
+            self.reply(f"ERROR frame of {oversized} bytes exceeds the {unit} wire bound")
             return
         if kind == "SNAPSHOT":
-            header = f"SNAPSHOT {payload['sequence']} {payload['generation']} {len(records)}"
+            self.reply(f"SNAPSHOT {payload['sequence']} {payload['generation']} {len(records)}")
         else:
-            header = f"DELTA {shared.position()[0]} {len(records)}"
-        self.wfile.write(header.encode("utf-8") + b"\r\n")
+            self.reply(f"DELTA {shared.position()[0]} {len(records)}")
         for data in payloads:
             self.wfile.write(_encode_frame(data))
-        self.wfile.flush()
-
-    def _line(self, text: str) -> None:
-        self.wfile.write(text.encode("utf-8") + b"\r\n")
-        self.wfile.flush()
 
 
 class ReplicaServer(TCPService):
@@ -379,63 +347,56 @@ class SnapshotReplica:
         self.reconnects = 0
         self._degraded: Optional[DegradedServing] = None
         self._last_known_lag: Optional[int] = None
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._wfile = None
+        self._conn: Optional[Connection] = None
         self._lock = threading.Lock()
 
     # -- connection ---------------------------------------------------------
 
-    def _ensure_connected(self) -> None:
-        if self._sock is not None:
-            return
+    def _connection(self) -> Connection:
+        if self._conn is None:
+            self._conn = Connection(self.address, timeout=self.timeout, max_line=_MAX_LINE_BYTES)
+            self.reconnects += 1
+        return self._conn
+
+    def _drop_connection(self, error: Optional[OSError] = None) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _exchange_locked(self, perform):
+        """Run ``perform(conn)``, one request/response exchange, under the policy.
+
+        The breaker is asked once, before the first attempt: an open breaker
+        fails the call at once (no dial, no pause, no recorded failure).
+        ``perform`` reruns from scratch on each attempt -- every request is
+        idempotent, and epoch application skips applied sequences.  A spent
+        budget records one breaker failure.  Any other error (an ``ERROR``
+        reply, a header that does not parse, a frame that does not load or
+        apply) proves the primary reachable, so it records a success; it
+        also drops the connection, whose unread bytes no later request may
+        take for its reply.  Transport faults surface as
+        :class:`ReplicaConnectionError`; success clears any degraded status.
+        """
         if not self.breaker.allow():
             raise ReplicaConnectionError(
                 "circuit breaker open: primary unreachable, probe pending"
             )
-        self._sock = socket.create_connection(self.address, timeout=self.timeout)
-        self._sock.settimeout(self.timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
-        self.reconnects += 1
-
-    def _teardown_locked(self) -> None:
-        for handle in (self._rfile, self._wfile, self._sock):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:  # pragma: no cover - best-effort close
-                    pass
-        self._sock = self._rfile = self._wfile = None
-
-    def _exchange_locked(self, perform):
-        """Run one request/response exchange with reconnect-on-drop retries.
-
-        ``perform`` is re-invoked from scratch on each attempt (it must
-        recompute its request from current replica state -- every request
-        in the protocol is idempotent, and epoch application skips
-        already-applied sequences).  Transport faults tear the connection
-        down and retry under the jittered-backoff policy; exhaustion
-        records a breaker failure and re-raises.  Success clears any
-        degraded status.
-        """
-        attempt = 0
-        while True:
-            try:
-                self._ensure_connected()
-                result = perform()
-            except OSError as error:
-                self._teardown_locked()
-                attempt += 1
-                if not self.policy.should_retry(attempt, error):
-                    self.breaker.record_failure()
-                    raise
-                self.policy.pause(attempt)
-                continue
+        try:
+            result = self.policy.run(
+                lambda: perform(self._connection()), on_fault=self._drop_connection
+            )
+        except OSError as error:
+            self.breaker.record_failure()
+            if isinstance(error, ReplicaConnectionError):
+                raise
+            raise ReplicaConnectionError(f"{type(error).__name__}: {error}") from error
+        except Exception:
             self.breaker.record_success()
-            self._degraded = None
-            return result
+            self._drop_connection()
+            raise
+        self.breaker.record_success()
+        self._degraded = None
+        return result
 
     def _note_degraded(self, error: BaseException) -> None:
         """Record that serving continues pinned, behind an unreachable primary."""
@@ -457,30 +418,34 @@ class SnapshotReplica:
         """``True`` while serving pinned answers behind a connection fault."""
         return self._degraded is not None
 
-    def _line(self, text: str) -> None:
-        self._wfile.write(text.encode("utf-8") + b"\r\n")
-        self._wfile.flush()
+    @staticmethod
+    def _request(conn: Connection, line: str, *kinds: str) -> Tuple[str, List[int]]:
+        """Send one request line; the response header's kind and integers.
 
-    def _read_header(self) -> List[str]:
-        line = self._rfile.readline(4096)
-        if not line:
-            raise ReplicaConnectionError("server closed the connection")
-        parts = line.decode("utf-8").strip().split()
-        if not parts:
-            raise ReplicaProtocolError("empty response header")
-        if parts[0] == "ERROR":
-            raise ReplicaProtocolError(" ".join(parts[1:]) or "server error")
-        return parts
+        An ``ERROR`` reply, or a header that is not one of ``kinds`` with
+        its integers (``SNAPSHOT <seq> <gen> <n>``, ``DELTA <seq> <n>``,
+        ``PRIMARY <seq> <gen>``), raises :class:`ReplicaProtocolError`.
+        """
+        conn.send(line)
+        reply = conn.read_line()
+        kind, *fields = reply.split() or [""]
+        if kind == "ERROR":
+            raise ReplicaProtocolError(" ".join(fields) or "server error")
+        try:
+            if kind not in kinds or len(fields) != _HEADER_FIELDS[kind]:
+                raise ValueError(reply)
+            return kind, [int(field) for field in fields]
+        except ValueError:
+            raise ReplicaProtocolError(f"unexpected response {reply!r}") from None
 
     def connect(self) -> "SnapshotReplica":
         """Dial the server and perform the initial snapshot handshake."""
 
-        def perform():
+        def perform(conn: Connection) -> int:
             # -1 means "I have nothing": it forces the snapshot leg even
             # when the primary itself is still at commit sequence 0.
             have = self.applied_sequence if self.state is not None else -1
-            self._line(f"HELLO {PROTOCOL_VERSION} {have}")
-            return self._consume_response()
+            return self._consume_response(conn, f"HELLO {PROTOCOL_VERSION} {have}")
 
         with self._lock:
             self._exchange_locked(perform)
@@ -497,27 +462,16 @@ class SnapshotReplica:
     def close(self) -> None:
         """Drop the connection (local serving state stays usable)."""
         with self._lock:
-            self._teardown_locked()
+            self._drop_connection()
 
     # -- the snapshot + delta legs ------------------------------------------
 
-    def _consume_response(self) -> int:
-        """Apply one SNAPSHOT or DELTA response; returns epochs applied."""
-        header = self._read_header()
-        if header[0] == "SNAPSHOT" and len(header) == 4:
-            payload = _read_frame(self._rfile)
-            self._load_snapshot(payload)
-            applied = sum(
-                self._apply_epoch(_read_frame(self._rfile))
-                for _ in range(int(header[3]))
-            )
-            return applied
-        if header[0] == "DELTA" and len(header) == 3:
-            return sum(
-                self._apply_epoch(_read_frame(self._rfile))
-                for _ in range(int(header[2]))
-            )
-        raise ReplicaProtocolError(f"unexpected response {header!r}")
+    def _consume_response(self, conn: Connection, request: str) -> int:
+        """Send a HELLO or POLL; apply its SNAPSHOT or DELTA; epochs applied."""
+        kind, fields = self._request(conn, request, "SNAPSHOT", "DELTA")
+        if kind == "SNAPSHOT":
+            self._load_snapshot(_read_frame(conn.rfile))
+        return sum(self._apply_epoch(_read_frame(conn.rfile)) for _ in range(fields[-1]))
 
     def _load_snapshot(self, payload: Dict) -> None:
         from ..optimizer.optimizer import SemanticQueryOptimizer
@@ -553,16 +507,11 @@ class SnapshotReplica:
 
     def primary_position(self) -> Tuple[int, int]:
         """The primary's newest ``(sequence, generation)`` (one round trip)."""
-
-        def perform():
-            self._line("STAT")
-            return self._read_header()
-
         with self._lock:
-            header = self._exchange_locked(perform)
-        if header[0] != "PRIMARY" or len(header) != 3:
-            raise ReplicaProtocolError(f"unexpected response {header!r}")
-        return int(header[1]), int(header[2])
+            _, (sequence, generation) = self._exchange_locked(
+                lambda conn: self._request(conn, "STAT", "PRIMARY")
+            )
+        return sequence, generation
 
     @property
     def lag(self) -> int:
@@ -586,10 +535,9 @@ class SnapshotReplica:
         propagates.
         """
 
-        def perform():
-            self._line(f"POLL {self.applied_sequence}")
+        def perform(conn: Connection) -> int:
             self.polls += 1
-            return self._consume_response()
+            return self._consume_response(conn, f"POLL {self.applied_sequence}")
 
         with self._lock:
             try:

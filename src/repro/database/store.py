@@ -467,11 +467,6 @@ class DatabaseState:
             self._commit_gate = None
 
     @property
-    def commit_scheduler(self):
-        """The attached commit scheduler, if any."""
-        return self._commit_gate
-
-    @property
     def read_only(self) -> bool:
         """``True`` while the attached scheduler is in degraded mode."""
         gate = self._commit_gate

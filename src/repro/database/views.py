@@ -315,7 +315,6 @@ class ViewCatalog:
         *,
         backend: str = "thread",
         shards: Optional[int] = None,
-        max_workers: Optional[int] = None,
         statistics=None,
     ) -> List[MaterializedView]:
         """Register a batch of views, classifying them in parallel.
@@ -334,8 +333,8 @@ class ViewCatalog:
         input order.
 
         ``backend`` is ``"thread"`` (default), ``"process"`` (fork
-        platforms) or ``"serial"``; ``shards``/``max_workers`` bound the
-        pool.  ``statistics`` may be a
+        platforms) or ``"serial"``; ``shards`` bounds the pool (one
+        worker per shard).  ``statistics`` may be a
         :class:`~repro.optimizer.parallel.BatchStatistics` to accumulate
         counters across calls.  The catalog must not be queried or mutated
         concurrently with a running batch.
@@ -359,14 +358,7 @@ class ViewCatalog:
         if statistics is None:
             statistics = BatchStatistics()
         if self.use_lattice and batch:
-            classify_batch(
-                self,
-                batch,
-                backend=backend,
-                shards=shards,
-                max_workers=max_workers,
-                statistics=statistics,
-            )
+            classify_batch(self, batch, backend=backend, shards=shards, statistics=statistics)
             merge_checker = BatchCheckerView(self.checker, statistics=statistics, direct=True)
             for view in batch:
                 if view.name in self._views:

@@ -166,7 +166,6 @@ class SemanticQueryOptimizer:
         *,
         backend: str = "thread",
         shards: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> List[MaterializedView]:
         """Register a batch of views via :meth:`ViewCatalog.register_batch`.
 
@@ -184,7 +183,6 @@ class SemanticQueryOptimizer:
             state,
             backend=backend,
             shards=shards,
-            max_workers=max_workers,
             statistics=batch_stats,
         )
         self._absorb_batch_statistics(batch_stats)
@@ -260,7 +258,6 @@ class SemanticQueryOptimizer:
         *,
         shards: Optional[int] = None,
         backend: str = "thread",
-        max_workers: Optional[int] = None,
     ) -> List[QueryPlan]:
         """Plan a batch of queries with the sharded matcher.
 
@@ -276,13 +273,7 @@ class SemanticQueryOptimizer:
         from .parallel import ShardedMatcher
 
         queries = list(queries)
-        matcher = ShardedMatcher(
-            self.checker,
-            self.catalog,
-            shards=shards,
-            backend=backend,
-            max_workers=max_workers,
-        )
+        matcher = ShardedMatcher(self.checker, self.catalog, shards=shards, backend=backend)
         matched = matcher.match_batch([self.query_concept(query) for query in queries])
         self.statistics.subsumption_checks += matcher.match_statistics.checks
         self.statistics.signature_skips += matcher.match_statistics.signature_skips
@@ -313,7 +304,6 @@ class SemanticQueryOptimizer:
         *,
         shards: Optional[int] = None,
         backend: str = "thread",
-        max_workers: Optional[int] = None,
     ) -> List[OptimizationOutcome]:
         """Plan a batch with :meth:`plan_batch` and execute every plan.
 
@@ -321,9 +311,7 @@ class SemanticQueryOptimizer:
         cheap next to matching) and returns outcomes in input order; the
         answers equal the sequential loop's because the plans do.
         """
-        plans = self.plan_batch(
-            queries, shards=shards, backend=backend, max_workers=max_workers
-        )
+        plans = self.plan_batch(queries, shards=shards, backend=backend)
         return [self.execute(plan, state) for plan in plans]
 
     def _anchor_class(self, query: QueryClassDecl) -> Optional[str]:

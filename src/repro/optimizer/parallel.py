@@ -270,9 +270,10 @@ def run_shards(
     worker: Callable[[int], object],
     count: int,
     backend: str = "thread",
-    max_workers: Optional[int] = None,
 ) -> List[object]:
     """Run ``worker(0..count-1)`` on the chosen backend, results in order.
+
+    The pool has one worker per shard.
 
     ``worker`` results must be picklable for the process backend (the shard
     protocols in this module return plain lists/dicts/dataclasses).  The
@@ -292,7 +293,7 @@ def run_shards(
     if backend == "serial" or count == 1:
         return [worker(index) for index in range(count)]
     if backend == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers or count) as pool:
+        with ThreadPoolExecutor(max_workers=count) as pool:
             return list(pool.map(worker, range(count)))
     if backend == "process":
         import multiprocessing
@@ -307,7 +308,7 @@ def run_shards(
             context = multiprocessing.get_context("fork")
             _FORK_WORKER = worker
             try:
-                with context.Pool(processes=max_workers or count) as pool:
+                with context.Pool(processes=count) as pool:
                     return pool.map(_fork_call, range(count))
             finally:
                 _FORK_WORKER = None
@@ -325,7 +326,6 @@ def classify_batch(
     *,
     backend: str = "thread",
     shards: Optional[int] = None,
-    max_workers: Optional[int] = None,
     statistics: Optional[BatchStatistics] = None,
 ) -> BatchStatistics:
     """Phase A: warm every frozen-DAG decision the batch insertions need.
@@ -355,7 +355,7 @@ def classify_batch(
         worker_stats.cache_delta_entries = len(view_checker.delta)
         return worker_stats, view_checker.delta
 
-    for worker_stats, delta in run_shards(worker, shard_count, backend, max_workers):
+    for worker_stats, delta in run_shards(worker, shard_count, backend):
         statistics.merge(worker_stats)
         checker.absorb_decisions(delta)
     return statistics
@@ -390,14 +390,12 @@ class ShardedMatcher:
         *,
         shards: Optional[int] = None,
         backend: str = "thread",
-        max_workers: Optional[int] = None,
         remote=None,
     ) -> None:
         self.checker = checker
         self.catalog = catalog
         self.shards = shards
         self.backend = backend
-        self.max_workers = max_workers
         if remote is not None:
             checker.remote = remote
         self.statistics = BatchStatistics()
@@ -428,9 +426,8 @@ class ShardedMatcher:
             return results, worker_stats, match_stats, view_checker.delta
 
         merged: List[Optional[List[str]]] = [None] * len(normalized)
-        for results, worker_stats, match_stats, delta in run_shards(
-            worker, shard_count, self.backend, self.max_workers
-        ):
+        shard_results = run_shards(worker, shard_count, self.backend)
+        for results, worker_stats, match_stats, delta in shard_results:
             for index, names in results:
                 merged[index] = names
             self.statistics.merge(worker_stats)

@@ -20,8 +20,8 @@ both the cache client and the replica, and the promotion recovery steps
 (tail replay, checkpoint rebase, sequence re-anchoring).
 """
 
-import socket
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +29,19 @@ from hypothesis import strategies as st
 
 from repro.database.cacheserver import DecisionCacheServer, RemoteDecisionCache
 from repro.database.failover import FailoverCoordinator, FencedOut
-from repro.database.faults import CircuitBreaker, DegradedServing, FaultPolicy
+from repro.database.faults import (
+    CircuitBreaker,
+    DegradedServing,
+    FaultPolicy,
+    network_fault_policy,
+)
 from repro.database.maintenance import DurableMaintainer
 from repro.database.query_eval import QueryEvaluator
-from repro.database.replica import ReplicaServer, SnapshotReplica
+from repro.database.replica import (
+    ReplicaConnectionError,
+    ReplicaServer,
+    SnapshotReplica,
+)
 from repro.database.store import DatabaseState
 from repro.database.wal import WalError
 from repro.optimizer.optimizer import SemanticQueryOptimizer
@@ -218,6 +227,46 @@ class TestSelfHealingCacheClient:
                 assert not client.dead
                 assert client.get_many([(1, 2)]) == {(1, 2): True}
 
+    def test_open_breaker_refuses_calls_that_hold_pooled_connections(self):
+        pauses = []
+        with DecisionCacheServer() as server:
+            with ChaosProxy(server.address) as proxy:
+                client = self._client(
+                    proxy.address,
+                    policy=network_fault_policy(sleep=pauses.append),
+                    breaker=CircuitBreaker(cooldown=60.0),
+                )
+                client.set_many({(1, 2): True})
+                assert client.get_many([(1, 2)]) == {(1, 2): True}
+                # Two overlapping round trips (each held up by the proxy)
+                # leave two connections in the pool.
+                proxy.set_delay(0.25)
+                barrier = threading.Barrier(2)
+
+                def lookup():
+                    barrier.wait()
+                    client.get_many([(1, 2)])
+
+                threads = [threading.Thread(target=lookup) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                proxy.set_delay(0.0)
+                assert client.reconnects == 2
+                proxy.partition()
+                # One call spends its retry budget and trips the breaker.
+                assert client.get_many([(1, 2)]) == {}
+                assert client.dead
+                # The next call still holds a pooled connection, but the
+                # open breaker refuses it at once: a miss with no pause
+                # and no failed attempt.
+                pauses.clear()
+                failures = client.failures
+                assert client.get_many([(1, 2)]) == {}
+                assert pauses == []
+                assert client.failures == failures
+
 
 # -- self-healing replica -----------------------------------------------------
 
@@ -271,6 +320,70 @@ class TestSelfHealingReplica:
                 assert replica.ensure_fresh(0) == 0
                 assert not replica.degraded
                 assert replica.applied_generation == state.generation
+                replica.close()
+
+    def test_open_breaker_fails_fast_without_dial_or_pause(self):
+        optimizer, state, _ = build_primary(views=2, queries=1)
+        pauses = []
+        with ReplicaServer(state, optimizer.catalog) as server:
+            with ChaosProxy(server.address) as proxy:
+                replica = SnapshotReplica(
+                    proxy.address,
+                    policy=network_fault_policy(sleep=pauses.append),
+                    breaker=CircuitBreaker(cooldown=60.0),
+                ).connect()
+                proxy.partition()
+                # One call spends its retry budget and trips the breaker.
+                with pytest.raises(ReplicaConnectionError):
+                    replica.primary_position()
+                assert replica.breaker.state == "open"
+                pauses.clear()
+                dials = proxy.accepted
+                # While the breaker is open, calls fail at once: no dial,
+                # no backoff.
+                with pytest.raises(ReplicaConnectionError):
+                    replica.primary_position()
+                assert replica.ensure_fresh() == 0
+                assert isinstance(replica.status, DegradedServing)
+                assert pauses == []
+                assert proxy.accepted == dials
+                replica.close()
+
+    def test_half_open_probe_that_fails_to_apply_still_heals_the_breaker(
+        self, monkeypatch
+    ):
+        optimizer, state, _ = build_primary(views=2, queries=1)
+        now = [0.0]
+        with ReplicaServer(state, optimizer.catalog) as server:
+            with ChaosProxy(server.address) as proxy:
+                replica = SnapshotReplica(
+                    proxy.address,
+                    policy=FAST,
+                    breaker=CircuitBreaker(cooldown=60.0, clock=lambda: now[0]),
+                ).connect()
+                for op in generate_update_stream(optimizer.sl_schema, state, 2, seed=5):
+                    apply_update(state, op)
+                assert server.position[0] > replica.applied_sequence
+                proxy.partition()
+                with pytest.raises(ReplicaConnectionError):
+                    replica.primary_position()
+                proxy.heal()
+                now[0] += 60.0  # the cooldown lapses: the next call probes
+
+                def broken(record):
+                    raise RuntimeError("epoch does not apply")
+
+                # The probe reaches the primary, whose answer fails to apply.
+                monkeypatch.setattr(replica, "_apply_epoch", broken)
+                with pytest.raises(RuntimeError):
+                    replica.poll()
+                monkeypatch.undo()
+                # The primary answered: the breaker closed, and later calls
+                # go through on a fresh connection.
+                assert replica.breaker.state == "closed"
+                assert replica.primary_position() == server.position
+                assert replica.poll() > 0
+                assert replica.applied_sequence == server.position[0]
                 replica.close()
 
     def test_cold_replica_cannot_degrade(self):

@@ -105,6 +105,58 @@ class TestErrorTaxonomy:
         assert failure.last_durable_sequence == 7
 
 
+class TestFaultPolicyRun:
+    """The one bounded-retry loop every scheduler and client path calls."""
+
+    def test_retryable_fault_is_retried_max_retries_times(self):
+        pauses, faults = [], []
+        # backoff 1 s doubling per attempt: each recorded sleep names its
+        # attempt (the injected sleep pays no wall clock).
+        policy = FaultPolicy(max_retries=3, backoff=1.0, max_backoff=8.0, sleep=pauses.append)
+
+        def operation():
+            raise OSError(errno.EIO, "eio")
+
+        with pytest.raises(OSError):
+            policy.run(operation, on_fault=faults.append)
+        assert pauses == [1.0, 2.0, 4.0]  # pause(1), pause(2), pause(3)
+        assert len(faults) == 1 + policy.max_retries
+
+    def test_on_fault_runs_once_per_failure_before_success(self):
+        pauses, faults = [], []
+        policy = FaultPolicy(max_retries=3, sleep=pauses.append)
+        outcomes = [OSError(errno.EIO, "eio"), OSError(errno.ENOSPC, "enospc"), "done"]
+
+        def operation():
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, OSError):
+                raise outcome
+            return outcome
+
+        assert policy.run(operation, on_fault=faults.append) == "done"
+        assert [fault.errno for fault in faults] == [errno.EIO, errno.ENOSPC]
+        assert len(pauses) == 2
+
+    def test_non_retryable_fault_propagates_at_once(self):
+        pauses, faults, calls = [], [], []
+        policy = FaultPolicy(max_retries=3, sleep=pauses.append)
+
+        def operation():
+            calls.append(1)
+            raise OSError(errno.EACCES, "eacces")
+
+        with pytest.raises(OSError):
+            policy.run(operation, on_fault=faults.append)
+        assert len(calls) == 1 and len(faults) == 1 and pauses == []
+
+        def not_a_fault():
+            raise ValueError("not io at all")
+
+        with pytest.raises(ValueError):
+            policy.run(not_a_fault, on_fault=faults.append)
+        assert len(faults) == 1 and pauses == []
+
+
 # ---------------------------------------------------------------------------
 # Scheduler units
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ import zlib
 import pytest
 
 from repro.database.cacheserver import DecisionCacheServer, RemoteDecisionCache
+from repro.database.faults import CircuitBreaker, FaultPolicy
+from repro.database.net import LineRequestHandler, TCPService
 from repro.database.replica import (
     PROTOCOL_VERSION,
     ReplicaConnectionError,
+    ReplicaProtocolError,
     ReplicaServer,
     SnapshotReplica,
     _read_frame,
@@ -69,6 +72,15 @@ class TestCacheServerErrorPaths:
                 sock.sendall(b"version\r\n")
                 assert rfile.readline().startswith(b"VERSION")
 
+    def test_non_utf8_line_is_malformed_and_the_connection_survives(self):
+        with DecisionCacheServer() as server:
+            with raw_connection(server.address) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(b"get ns \xff\xfe:1\r\n")
+                assert rfile.readline() == b"ERROR malformed line\r\n"
+                sock.sendall(b"version\r\n")
+                assert rfile.readline().startswith(b"VERSION")
+
     def test_oversized_line_is_rejected_and_closed(self):
         with DecisionCacheServer() as server:
             with raw_connection(server.address) as sock:
@@ -111,6 +123,16 @@ class TestCacheServerErrorPaths:
 
 
 class TestReplicaServerErrorPaths:
+    def test_non_utf8_line_is_malformed_and_the_connection_survives(self):
+        optimizer, state = build_primary()
+        with ReplicaServer(state, optimizer.catalog) as server:
+            with raw_connection(server.address) as sock:
+                rfile = sock.makefile("rb")
+                sock.sendall(b"POLL \xff\r\n")
+                assert rfile.readline() == b"ERROR malformed line\r\n"
+                sock.sendall(b"STAT\r\n")
+                assert rfile.readline().startswith(b"PRIMARY")
+
     def test_oversized_command_line_is_rejected_and_closed(self):
         optimizer, state = build_primary()
         with ReplicaServer(state, optimizer.catalog) as server:
@@ -206,4 +228,53 @@ class TestFrameIntegrity:
             # The server is unaffected; a real client connects cleanly.
             replica = SnapshotReplica(server.address).connect()
             assert replica.state.objects == state.objects
+            replica.close()
+
+
+# -- client-side reply parsing ------------------------------------------------
+
+
+class _CannedHandler(LineRequestHandler):
+    """Answers every request line with the server's canned bytes."""
+
+    max_line = 4096
+
+    def dispatch(self, command, args):
+        self.wfile.write(self.server.canned)
+        return True
+
+
+def canned_server(reply: bytes) -> TCPService:
+    return TCPService(
+        _CannedHandler, "127.0.0.1", 0, idle_timeout=5.0, thread_name="canned", canned=reply
+    )
+
+
+class TestGarbledReplies:
+    """A well-framed reply whose fields do not parse is a typed fault."""
+
+    def test_cache_client_degrades_to_a_miss(self):
+        with canned_server(b"VALUE x:y 1\r\nEND\r\n") as server:
+            client = RemoteDecisionCache(
+                server.address,
+                "ns",
+                policy=FaultPolicy(max_retries=1, sleep=lambda _: None, retryable=lambda e: True),
+                breaker=CircuitBreaker(cooldown=60.0),
+            )
+            assert client.get(1, 2) is None
+            assert client.failures == 2
+            assert client.dead
+            client.close()
+
+    def test_replica_raises_a_protocol_error(self):
+        # The garbled header comes with a well-formed line behind it: a
+        # client that kept the connection would read that leftover line as
+        # the answer to its next request.
+        with canned_server(b"PRIMARY x y\r\nPRIMARY 7 8\r\n") as server:
+            replica = SnapshotReplica(server.address)
+            for dials in (1, 2):
+                with pytest.raises(ReplicaProtocolError) as raised:
+                    replica.primary_position()
+                assert not isinstance(raised.value, ReplicaConnectionError)
+                assert replica.reconnects == dials
             replica.close()

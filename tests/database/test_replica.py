@@ -184,8 +184,10 @@ class TestReplicaProtocol:
             assert "wire bound" in str(raised.value)
             assert replica.reconnects == 1
             assert replica.applied_sequence == before
-            # The connection survives the refusal: the next request is served.
+            # The refusal drops the connection; the next request redials and
+            # is served.
             assert replica.primary_position() == server.position
+            assert replica.reconnects == 2
             replica.close()
 
     def test_protocol_version_pinned(self):
