@@ -7,7 +7,6 @@ from .failover import (
     FencedOut,
     FencingToken,
     Promotion,
-    PromotionReport,
 )
 from .faults import (
     CircuitBreaker,
@@ -77,7 +76,6 @@ __all__ = [
     "FencingToken",
     "FencedOut",
     "Promotion",
-    "PromotionReport",
     "WriteAheadLog",
     "WalError",
     "EpochRecord",

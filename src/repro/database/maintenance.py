@@ -70,8 +70,10 @@ The module has **three tiers** over the same flush engine:
   :meth:`DurableMaintainer.open` recovers across **process restarts**:
   newest valid checkpoint, replay of the epoch tail (stopping at the
   first torn frame, reporting what was dropped), full extent
-  regeneration.  That is the only crash recovery; an in-process rebuild
-  is a new maintainer constructed with ``bootstrap=True``.
+  regeneration.  That is the only crash recovery, and the only way a
+  primary comes up: a failover restores through it too, from the
+  promoted replica's live state.  An in-process rebuild is a new
+  maintainer constructed with ``bootstrap=True``.
 
 The flat per-view notification loop
 (:meth:`~repro.database.views.ViewCatalog.notify_object_added`) and the
@@ -517,9 +519,7 @@ class _StagedSink:
     while readers keep serving the previous generation; :meth:`install`
     (called under the maintainer's publish lock) then swaps all staged
     extents in with one assignment per view, so a reader never observes a
-    half-flushed generation.  ``refreshed`` tracks whether the staged value
-    came from a re-evaluation (bumps ``refresh_count`` on install, exactly
-    like the direct sink's ``adopt``) or from set algebra alone.
+    half-flushed generation.
     """
 
     __slots__ = ("generation", "_staged")
@@ -527,7 +527,7 @@ class _StagedSink:
     def __init__(self, generation: int) -> None:
         self.generation = generation
         # Insertion-ordered: install() publishes in first-staged order.
-        self._staged: Dict[str, Tuple[MaterializedView, FrozenSet[str], bool]] = {}
+        self._staged: Dict[str, Tuple[MaterializedView, FrozenSet[str]]] = {}
 
     def current(self, view: MaterializedView) -> FrozenSet[str]:
         """The staged extent when one exists, else the live stored one."""
@@ -535,22 +535,17 @@ class _StagedSink:
         return staged[1] if staged is not None else view.stored_extent
 
     def adopt(self, view: MaterializedView, extent: FrozenSet[str]) -> None:
-        """Stage a re-evaluated extent (marked refreshed) for :meth:`install`."""
-        self._staged[view.name] = (view, frozenset(extent), True)
+        """Stage a re-evaluated extent for :meth:`install`."""
+        self._staged[view.name] = (view, frozenset(extent))
 
     def discard(self, view: MaterializedView, objects: FrozenSet[str]) -> None:
-        """Stage a set-algebra removal without marking a re-evaluation."""
-        staged = self._staged.get(view.name)
-        refreshed = staged[2] if staged is not None else False
-        self._staged[view.name] = (view, self.current(view) - frozenset(objects), refreshed)
+        """Stage a set-algebra removal for :meth:`install`."""
+        self._staged[view.name] = (view, self.current(view) - frozenset(objects))
 
     def install(self) -> None:
         """Swap every staged extent in (caller holds the publish lock)."""
-        for view, extent, refreshed in self._staged.values():
-            if refreshed:
-                view.adopt_extent(extent, self.generation)
-            else:
-                view.replace_extent(extent, self.generation)
+        for view, extent in self._staged.values():
+            view.adopt_extent(extent, self.generation)
 
 
 class _MaintenanceEngine:
@@ -901,8 +896,9 @@ class AsyncMaintainer(_MaintenanceEngine):
         self._publish = threading.Lock()
         self._flush_lock = threading.Lock()
         self._log: List[Tuple[EpochRecord, StateSnapshot]] = []
-        self._sequence = 0
-        self._flushed_sequence = 0
+        # The numbering continues the state's: a checkpoint taken right
+        # after attaching covers the commits the state already holds.
+        self._sequence = self._flushed_sequence = state.commit_sequence
         self._stopped = False
         self._paused = False
         self._failure: Optional[BaseException] = None
@@ -1172,19 +1168,22 @@ class AsyncMaintainer(_MaintenanceEngine):
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What :meth:`DurableMaintainer.open` rebuilt from disk.
+    """What :meth:`DurableMaintainer.open` restored, after a restart or a failover.
 
-    ``checkpoint_sequence`` is the epoch the loaded checkpoint covered
-    (``0`` when recovery started from genesis), ``replayed_epochs`` how
-    many WAL tail records were re-applied past it, and
-    ``recovered_sequence`` the resulting epoch sequence -- the state
-    equals the from-scratch build of exactly that prefix of commits.
-    ``dropped_bytes`` / ``dropped_records`` / ``corrupt_checkpoints``
-    surface what torn tails and bad frames cost (recovery never crashes
-    on them; it stops at the first bad frame and reports).
-    ``generation`` is the recovered state's process-local generation.
+    ``base`` names the state the tail was replayed onto: ``"live"`` (a
+    promoted replica's state as it stood), ``"checkpoint"`` or
+    ``"genesis"``.  ``checkpoint_sequence`` is the epoch the newest valid
+    checkpoint covered (``0``: none), ``replayed_epochs`` how many logged
+    epochs were replayed past the base, and ``recovered_sequence`` the
+    resulting epoch sequence -- the state equals the from-scratch build of
+    exactly that prefix of commits.  ``dropped_bytes`` /
+    ``dropped_records`` / ``corrupt_checkpoints`` surface what torn tails
+    and bad frames cost (recovery never crashes on them; it stops at the
+    first bad frame and reports).  ``generation`` is the restored state's
+    process-local generation.
     """
 
+    base: str
     checkpoint_sequence: int
     replayed_epochs: int
     recovered_sequence: int
@@ -1205,15 +1204,15 @@ class DurableMaintainer(AsyncMaintainer):
     full state snapshot plus the catalog identity and compacts the log
     segments it subsumes.
 
-    **Recovery.**  :meth:`open` is the system's one crash recovery; it
-    rebuilds everything in a fresh process:
-    newest valid checkpoint, replay of the epoch tail through
-    :meth:`~repro.database.store.DatabaseState.apply_delta` (stopping at
-    the first torn frame -- see :meth:`WriteAheadLog.recover`), full
-    extent regeneration, and a :attr:`recovery_report` saying exactly
-    what was recovered and what was dropped.  Recovery is idempotent:
-    opening the same directory twice (without new commits) yields
-    identical states.
+    **Recovery.**  :meth:`open` is the one way a primary comes up from
+    its log, after a crash and after a failover alike: newest valid
+    checkpoint (or a promoted replica's live state), replay of the epoch
+    tail through :meth:`~repro.database.store.DatabaseState.replay`
+    (stopping at the first torn frame -- see
+    :meth:`WriteAheadLog.recover`), full extent regeneration, and a
+    :attr:`recovery_report` saying exactly what was restored and what was
+    dropped.  Recovery is idempotent: opening the same directory twice
+    (without new commits) yields identical states.
 
     **Sequencing contract.**  Epoch sequences are **store-assigned**:
     ``DatabaseState.batch()`` serializes writer threads on the store's
@@ -1372,24 +1371,37 @@ class DurableMaintainer(AsyncMaintainer):
         fs=None,
         strict_catalog: bool = True,
         fault_policy: Optional[FaultPolicy] = None,
+        base: Optional[DatabaseState] = None,
         **async_kwargs,
     ) -> "DurableMaintainer":
-        """Recover a maintainer (state + extents) from a log directory.
+        """Bring a primary up from the log at ``path``: state, extents, writer.
 
-        Loads the newest valid checkpoint (corrupt ones are skipped --
-        recovery degrades, never crashes), rebuilds the state via
-        :meth:`DatabaseState.from_snapshot`, replays the epoch tail
-        through :meth:`DatabaseState.apply_delta` -- one batch per epoch,
-        before any listener attaches -- regenerates every view extent
-        against the recovered snapshot, truncates the torn WAL tail and
-        returns a running maintainer whose sequence numbering continues
-        the recovered log.  ``schema`` overrides the checkpoint's pinned
-        schema (required when the tail contains ``schema_changed``
-        epochs, whose schema swap the delta log does not carry); when
-        ``None`` the checkpoint's schema (or the empty schema at genesis)
-        is used.  ``strict_catalog`` requires the supplied catalog's
-        identity (names + normalized concepts) to match the checkpoint's;
-        the :attr:`recovery_report` says exactly what was recovered.
+        The one restore path, for restarts and failovers alike
+        (:meth:`~repro.database.failover.FailoverCoordinator.promote` passes
+        the promoted replica's live state as ``base``; nothing else does):
+
+        * **Base.**  ``base`` at or past the newest valid checkpoint is
+          taken as it stands, at its ``commit_sequence``; otherwise the
+          checkpoint is rebuilt via :meth:`DatabaseState.from_snapshot`
+          (corrupt ones are skipped -- recovery degrades, never crashes);
+          with neither, recovery starts from genesis.
+        * **Catalog.**  ``strict_catalog`` requires ``catalog``'s identity
+          (names + normalized concepts) to match the checkpoint's.
+        * **Schema.**  The restored state serves under ``schema``
+          (default: the base's own).  The log does not carry a swap's new
+          schema, so a ``schema_changed`` epoch past the base without
+          ``schema`` raises :class:`ValueError`.
+        * **Tail.**  Each logged epoch past the base is replayed through
+          :meth:`DatabaseState.replay`, before the maintainer attaches.
+        * **Writer.**  Every extent is regenerated against the restored
+          state, the torn WAL tail is truncated, and the returned
+          maintainer continues the restored commit numbering.  A base past
+          the log's last epoch holds epochs the log lacks, so a checkpoint
+          covers them before this returns -- they are recoverable before
+          the first new write is acknowledged.  A plain restart writes no
+          checkpoint.
+
+        The :attr:`recovery_report` says what was restored and dropped.
         """
         if catalog is None:
             raise ValueError("open() needs the ViewCatalog to regenerate extents")
@@ -1397,31 +1409,35 @@ class DurableMaintainer(AsyncMaintainer):
             path, sync_every=sync_every, segment_bytes=segment_bytes, fs=fs
         )
         found = wal.recover()
-        if found.checkpoint is not None:
-            if strict_catalog:
-                require_catalog_identity(found.checkpoint.catalog, catalog)
-            base = found.checkpoint.snapshot
-            state = DatabaseState.from_snapshot(
-                base, schema=schema if schema is not None else base.schema
-            )
-            checkpoint_sequence = found.checkpoint.sequence
+        checkpoint = found.checkpoint
+        if checkpoint is not None and strict_catalog:
+            require_catalog_identity(checkpoint.catalog, catalog)
+        if base is not None and (
+            checkpoint is None or base.commit_sequence >= checkpoint.sequence
+        ):
+            origin, state = "live", base
+        elif checkpoint is not None:
+            origin = "checkpoint"
+            state = DatabaseState.from_snapshot(checkpoint.snapshot, schema)
+            state.reset_commit_sequence(checkpoint.sequence)
         else:
-            if schema is None:
-                from ..concepts.schema import Schema
-
-                schema = Schema.empty()
-            state = DatabaseState(schema)
-            checkpoint_sequence = 0
-        for record in found.epochs:
-            with state.batch():
-                for delta in record.deltas:
-                    state.apply_delta(delta)
+            origin, state = "genesis", DatabaseState(schema)
+        base_sequence = state.commit_sequence
+        tail = [record for record in found.epochs if record.sequence > base_sequence]
+        if schema is None:
+            if any(record.schema_changed for record in tail):
+                raise ValueError(
+                    "the log swaps the schema past the restore base and does "
+                    "not carry the new one; pass the post-swap schema="
+                )
+        elif state.schema != schema:
+            state.schema = schema
+            state.reset_commit_sequence(base_sequence)
+        for record in tail:
+            state.replay(record)
         snapshot = state.snapshot()
         catalog.regenerate_extents(snapshot)
         wal.reset_to(found)
-        # The from_snapshot + replay path bumped commit_sequence arbitrarily;
-        # re-anchor it so new commits continue the recovered log's numbering.
-        state.reset_commit_sequence(found.last_sequence)
         maintainer = cls(
             state,
             catalog,
@@ -1430,13 +1446,17 @@ class DurableMaintainer(AsyncMaintainer):
             fault_policy=fault_policy,
             **async_kwargs,
         )
-        with maintainer._lock:
-            maintainer._sequence = found.last_sequence
-            maintainer._flushed_sequence = found.last_sequence
+        if state.commit_sequence > found.last_sequence:
+            try:
+                maintainer.checkpoint()
+            except BaseException:
+                maintainer.kill()
+                raise
         maintainer.recovery_report = RecoveryReport(
-            checkpoint_sequence=checkpoint_sequence,
-            replayed_epochs=len(found.epochs),
-            recovered_sequence=found.last_sequence,
+            base=origin,
+            checkpoint_sequence=checkpoint.sequence if checkpoint is not None else 0,
+            replayed_epochs=len(tail),
+            recovered_sequence=state.commit_sequence,
             dropped_bytes=found.dropped_bytes,
             dropped_records=found.dropped_records,
             corrupt_checkpoints=found.corrupt_checkpoints,

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import zlib
 from typing import Dict, List, Optional, Tuple
 
 from .faults import (
@@ -62,7 +61,7 @@ from .faults import (
 )
 from .net import Connection, LineRequestHandler, TCPService
 from .store import DatabaseState, EpochRecord
-from .wal import _HEADER, _encode_frame, catalog_identity
+from .wal import FrameError, catalog_identity, encode_frame, read_frame
 
 __all__ = [
     "ReplicaConnectionError",
@@ -105,28 +104,12 @@ class ReplicaConnectionError(ReplicaProtocolError, ConnectionError):
     """
 
 
-def _read_exact(rfile, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = rfile.read(remaining)
-        if not chunk:
-            raise ReplicaConnectionError("stream closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _read_frame(rfile):
-    """One CRC-checked frame off the stream (the WAL's frame format)."""
-    header = _read_exact(rfile, _HEADER.size)
-    length, crc = _HEADER.unpack(header)
-    if length > _MAX_WIRE_FRAME_BYTES:
-        raise ReplicaConnectionError(f"oversized frame ({length} bytes)")
-    payload = _read_exact(rfile, length)
-    if zlib.crc32(payload) != crc:
-        raise ReplicaConnectionError("frame CRC mismatch")
-    return pickle.loads(payload)
+    """One CRC-checked frame off the stream, under the wire's bound."""
+    try:
+        return read_frame(rfile, _MAX_WIRE_FRAME_BYTES)
+    except FrameError as error:
+        raise ReplicaConnectionError(str(error)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +208,20 @@ class _ReplicaHandler(LineRequestHandler):
         # Encode everything before writing anything: a frame the reader
         # would refuse becomes one ERROR line, never a half-sent response.
         objects = ([payload] if kind == "SNAPSHOT" else []) + records
-        payloads = [pickle.dumps(item, protocol=4) for item in objects]
-        oversized = max(map(len, payloads), default=0)
-        if oversized > _MAX_WIRE_FRAME_BYTES:
-            bound = _MAX_WIRE_FRAME_BYTES
-            unit = f"{bound >> 20} MiB" if bound >= 1 << 20 else f"{bound >> 10} KiB"
-            self.reply(f"ERROR frame of {oversized} bytes exceeds the {unit} wire bound")
+        try:
+            frames = [
+                encode_frame(pickle.dumps(item, protocol=4), _MAX_WIRE_FRAME_BYTES, "wire")
+                for item in objects
+            ]
+        except FrameError as refused:
+            self.reply(f"ERROR {refused}")
             return
         if kind == "SNAPSHOT":
             self.reply(f"SNAPSHOT {payload['sequence']} {payload['generation']} {len(records)}")
         else:
             self.reply(f"DELTA {shared.position()[0]} {len(records)}")
-        for data in payloads:
-            self.wfile.write(_encode_frame(data))
+        for frame in frames:
+            self.wfile.write(frame)
 
 
 class ReplicaServer(TCPService):
@@ -303,7 +287,7 @@ class SnapshotReplica:
     ``DatabaseState.from_snapshot``, register the shipped catalog
     identity into a local :class:`~repro.optimizer.optimizer.SemanticQueryOptimizer`,
     regenerate extents -- and every :meth:`poll` applies the next delta
-    batch as local epochs (one ``state.batch()`` per
+    batch as local epochs (one ``state.replay()`` per
     :class:`~repro.database.store.EpochRecord`, flushed incrementally by a
     local :class:`~repro.database.maintenance.MaintenanceQueue`).
     Serving happens strictly against the last fully applied epoch:
@@ -339,7 +323,6 @@ class SnapshotReplica:
         self.state: Optional[DatabaseState] = None
         self.optimizer = None
         self.maintenance = None
-        self.applied_sequence = 0
         self.applied_generation = 0
         self.snapshot_loads = 0
         self.epochs_applied = 0
@@ -482,26 +465,33 @@ class SnapshotReplica:
         self.state = DatabaseState.from_snapshot(
             payload["snapshot"], schema=payload["schema"]
         )
+        self.state.reset_commit_sequence(payload["sequence"])
         self.optimizer = SemanticQueryOptimizer(payload["schema"])
         for name, concept in payload["catalog"]:
             self.optimizer.register_view_concept(name, concept)
         self.optimizer.checker.remote = self.remote
         self.optimizer.catalog.regenerate_extents(self.state)
         self.maintenance = MaintenanceQueue(self.state, self.optimizer.catalog)
-        self.applied_sequence = payload["sequence"]
         self.applied_generation = payload["generation"]
         self.snapshot_loads += 1
 
     def _apply_epoch(self, record: EpochRecord) -> int:
         if record.sequence <= self.applied_sequence:
             return 0
-        with self.state.batch():
-            for delta in record.deltas:
-                self.state.apply_delta(delta)
-        self.applied_sequence = record.sequence
+        self.state.replay(record)
         self.applied_generation = record.generation
         self.epochs_applied += 1
         return 1
+
+    @property
+    def applied_sequence(self) -> int:
+        """The primary sequence of the last fully applied epoch (0 before connecting).
+
+        The local state is rebuilt at the snapshot's sequence and replays
+        each epoch under the primary's, so its own commit sequence is the
+        applied one: a promotion restores from that state as it stands.
+        """
+        return 0 if self.state is None else self.state.commit_sequence
 
     # -- catch-up protocol ---------------------------------------------------
 

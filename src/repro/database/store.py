@@ -448,7 +448,7 @@ class DatabaseState:
         return self._commit_sequence
 
     def reset_commit_sequence(self, sequence: int) -> None:
-        """Re-anchor the epoch numbering (crash recovery continues a log)."""
+        """Re-anchor the epoch numbering (a state rebuilt from a snapshot continues it)."""
         self._commit_sequence = sequence
 
     def attach_commit_scheduler(self, scheduler) -> None:
@@ -858,14 +858,31 @@ class DatabaseState:
                     state.set_attribute(subject, attribute, value)
         return state
 
+    def replay(self, record: EpochRecord) -> None:
+        """Apply one logged epoch: its deltas in one batch, committed as ``record.sequence``.
+
+        The one apply path for recorded epochs -- crash recovery,
+        promotion and a replica's delta leg -- so a replayed state's
+        :attr:`commit_sequence` always names the last epoch it holds, and
+        listeners see one commit under the record's own sequence.  The
+        record's schema swap is not replayed: the log does not carry the
+        new schema, so whoever replays a swap sets :attr:`schema` itself.
+        """
+        with self.batch():
+            # The outermost exit bumps the numbering onto the record's own.
+            self._commit_sequence = record.sequence - 1
+            self._commit_pending = True
+            for delta in record.deltas:
+                self.apply_delta(delta)
+
     def apply_delta(self, delta: Delta) -> None:
         """Apply one logged :class:`Delta` to this state (replay-idempotent).
 
-        The WAL recovery path (:mod:`repro.database.wal`) replays epoch
-        tails through this: deltas are records of *effective* mutations, so
-        replaying them through the public mutators reproduces the explicit
-        data exactly, and re-applying an already-present delta is a no-op
-        (every mutator is idempotent).
+        :meth:`replay` applies each epoch's deltas through this: deltas
+        are records of *effective* mutations, so replaying them through the
+        public mutators reproduces the explicit data exactly, and
+        re-applying an already-present delta is a no-op (every mutator is
+        idempotent).
         """
         if isinstance(delta, ObjectAdded):
             self.add_object(delta.object_id)

@@ -6,11 +6,10 @@ derivable by the view definition, is stored explicitly so that access to the
 view is as fast as to any other class.  The optimizer then uses a subsuming
 view's stored extension to restrict the search space of new queries.
 
-:class:`MaterializedView` holds one view together with its stored extent and
-refresh bookkeeping; :class:`ViewCatalog` is the registry the optimizer
-scans.  Registration enforces the paper's soundness requirement: queries
-with a non-structural part are rejected as views
-(:class:`~repro.core.errors.NonStructuralViewError`).
+:class:`MaterializedView` holds one view together with its stored extent;
+:class:`ViewCatalog` is the registry the optimizer scans.  Registration
+enforces the paper's soundness requirement: queries with a non-structural
+part are rejected as views (:class:`~repro.core.errors.NonStructuralViewError`).
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ class MaterializedView:
         #: stamps every install, so readers can tell *which* consistent
         #: database generation an extent answers for.
         self.extent_generation: Optional[int] = None
-        self.refresh_count = 0
-        self.access_count = 0
 
     # -- maintenance -----------------------------------------------------------
 
@@ -66,7 +63,6 @@ class MaterializedView:
         """
         self._extent = evaluator.concept_answers(self.concept, state)
         self.extent_generation = getattr(state, "generation", None)
-        self.refresh_count += 1
         return self._extent
 
     def on_object_added(
@@ -86,29 +82,12 @@ class MaterializedView:
     def adopt_extent(
         self, extent: FrozenSet[str], generation: Optional[int] = None
     ) -> FrozenSet[str]:
-        """Install an externally computed extent (counts as a refresh).
+        """Install an externally computed extent.
 
         The maintenance engine evaluates each lattice node's concept once
-        and hands the answer set to every view of the node; going through
-        this method keeps the refresh bookkeeping consistent with
-        :meth:`refresh`.  ``generation`` stamps the state generation the
-        extent was computed against.
-        """
-        self._extent = frozenset(extent)
-        if generation is not None:
-            self.extent_generation = generation
-        self.refresh_count += 1
-        return self._extent
-
-    def replace_extent(
-        self, extent: FrozenSet[str], generation: Optional[int] = None
-    ) -> FrozenSet[str]:
-        """Install an extent *without* counting a refresh.
-
-        Used by the async tier to publish set-algebra results (discards
-        staged against a pinned snapshot) whose synchronous counterpart is
-        :meth:`discard_objects`, which does not bump ``refresh_count``
-        either -- keeping the two tiers' bookkeeping byte-identical.
+        and hands the answer set to every view of the node.
+        ``generation`` stamps the state generation the extent was computed
+        against.
         """
         self._extent = frozenset(extent)
         if generation is not None:
@@ -131,17 +110,16 @@ class MaterializedView:
     @property
     def extent(self) -> FrozenSet[str]:
         """The stored answer set of the view (as of the last refresh)."""
-        self.access_count += 1
         return self._extent
 
     @property
     def stored_extent(self) -> FrozenSet[str]:
-        """The stored answer set without counting as an access (diagnostics)."""
+        """The stored answer set; the same set as :attr:`extent`."""
         return self._extent
 
     @property
     def size(self) -> int:
-        """Number of stored objects (without counting as an access)."""
+        """Number of stored objects."""
         return len(self._extent)
 
     def __repr__(self) -> str:

@@ -83,6 +83,7 @@ against the from-scratch refresh of a durable prefix of commits.
 from __future__ import annotations
 
 import errno
+import io
 import os
 import pickle
 import re
@@ -99,19 +100,23 @@ from .store import EpochRecord, StateSnapshot
 __all__ = [
     "CheckpointPayload",
     "EpochRecord",
+    "FrameError",
     "OsFileSystem",
     "RETRYABLE_ERRNOS",
     "WalError",
     "WalRecovery",
     "WriteAheadLog",
     "catalog_identity",
+    "encode_frame",
     "is_retryable_io_error",
+    "read_frame",
     "require_catalog_identity",
 ]
 
 _HEADER = struct.Struct("<II")
-#: Sanity bound on a frame's payload length: a corrupted header must not
-#: make the reader allocate gigabytes before the CRC can reject it.
+#: The log's bound on a frame's payload length: a corrupted header must not
+#: make the reader allocate gigabytes before the CRC can reject it.  The
+#: replica stream has its own, smaller bound (``replica.py``).
 _MAX_FRAME_BYTES = 1 << 30
 
 _SEGMENT_RE = re.compile(r"^epochs-(\d{8})\.seg$")
@@ -127,6 +132,10 @@ class WalError(RuntimeError):
     structural violations -- catalog identity mismatches, failed checkpoint
     writes -- raise this base class directly.
     """
+
+
+class FrameError(WalError):
+    """A frame over its channel's bound, cut short, or failing its CRC."""
 
 
 #: ``errno`` values worth retrying with backoff before declaring an I/O
@@ -340,15 +349,53 @@ class OsFileSystem:
             handle.close()
 
 
-def _encode_frame(payload: bytes) -> bytes:
-    # The readers (_parse_frames, _load_checkpoint) drop a frame over the
-    # bound as a torn tail, so writing one would ACK what recovery loses.
-    if len(payload) > _MAX_FRAME_BYTES:
-        raise WalError(
-            f"refusing a {len(payload)}-byte frame: the log's readers reject "
-            f"frames over {_MAX_FRAME_BYTES} bytes; nothing was written"
-        )
+def encode_frame(payload: bytes, bound: int, channel: str) -> bytes:
+    """Frame ``payload`` as ``<u32 length><u32 crc32(payload)><payload>``.
+
+    The one encoder of the frame the log and the replica stream share.
+    ``bound`` is the channel's payload limit, the one its readers enforce
+    (``channel`` names it in the error): a larger payload raises
+    :class:`FrameError` and nothing is framed, so a writer never emits
+    what its own reader would reject.
+    """
+    if len(payload) > bound:
+        unit = f"{bound >> 20} MiB" if bound >= 1 << 20 else f"{bound >> 10} KiB"
+        raise FrameError(f"frame of {len(payload)} bytes exceeds the {unit} {channel} bound")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def read_frame(stream, bound: int):
+    """Read one frame off the binary ``stream``; its unpickled payload.
+
+    The one decoder of the shared frame (wrap bytes in
+    :class:`io.BytesIO`).  A header announcing more than ``bound`` bytes
+    is refused before any payload byte is read, and the payload is
+    unpickled only once its CRC holds; those refusals and a short read
+    raise :class:`FrameError`.  Unpickling errors propagate as they are.
+    """
+    length, crc = _HEADER.unpack(_read_exact(stream, _HEADER.size))
+    if length > bound:
+        raise FrameError(f"oversized frame ({length} bytes)")
+    payload = _read_exact(stream, length)
+    if zlib.crc32(payload) != crc:
+        raise FrameError("frame CRC mismatch")
+    return pickle.loads(payload)
+
+
+def _read_exact(stream, count: int) -> bytes:
+    chunks = []
+    while count:
+        chunk = stream.read(count)
+        if not chunk:
+            raise FrameError("stream closed mid-frame")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def _encode_frame(payload: bytes) -> bytes:
+    """A log frame: the shared encoder under the log's bound."""
+    return encode_frame(payload, _MAX_FRAME_BYTES, "log")
 
 
 def _parse_frames(data: bytes, min_sequence: int):
@@ -361,26 +408,20 @@ def _parse_frames(data: bytes, min_sequence: int):
     would surface exactly as a sequence regression).
     """
     records: List[EpochRecord] = []
-    offset = 0
+    stream = io.BytesIO(data)
+    good = 0
     previous = min_sequence
-    total = len(data)
-    while offset + _HEADER.size <= total:
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > _MAX_FRAME_BYTES or offset + _HEADER.size + length > total:
-            break
-        payload = data[offset + _HEADER.size : offset + _HEADER.size + length]
-        if zlib.crc32(payload) != crc:
-            break
+    while good < len(data):
         try:
-            record = pickle.loads(payload)
+            record = read_frame(stream, _MAX_FRAME_BYTES)
         except Exception:
             break
         if not isinstance(record, EpochRecord) or record.sequence <= previous:
             break
         records.append(record)
         previous = record.sequence
-        offset += _HEADER.size + length
-    return records, offset
+        good = stream.tell()
+    return records, good
 
 
 class WriteAheadLog:
@@ -695,22 +736,10 @@ class WriteAheadLog:
 
     def _load_checkpoint(self, path: str) -> Optional[CheckpointPayload]:
         try:
-            data = self.fs.read(path)
-        except OSError:
+            checkpoint = read_frame(io.BytesIO(self.fs.read(path)), _MAX_FRAME_BYTES)
+        except Exception:  # unreadable, torn, oversized, CRC-corrupt or unloadable
             return None
-        if len(data) < _HEADER.size:
-            return None
-        length, crc = _HEADER.unpack_from(data, 0)
-        payload = data[_HEADER.size : _HEADER.size + length]
-        if length > _MAX_FRAME_BYTES or len(payload) < length or zlib.crc32(payload) != crc:
-            return None
-        try:
-            checkpoint = pickle.loads(payload)
-        except Exception:
-            return None
-        if not isinstance(checkpoint, CheckpointPayload):
-            return None
-        return checkpoint
+        return checkpoint if isinstance(checkpoint, CheckpointPayload) else None
 
     def reset_to(self, recovery: WalRecovery) -> None:
         """Prepare the directory for appending after ``recovery``.

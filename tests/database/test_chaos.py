@@ -10,16 +10,20 @@ Two oracles anchor this module:
   primary generation it had pinned when it served.  Faults may cost
   freshness -- degraded serving is reported as a typed status -- but
   never correctness.
-* **Failover oracle**: promoting a replica over the durable WAL preserves
+* **Failover oracles**: promoting a replica over the durable WAL preserves
   every fsync-ACKed commit, and a revived stale primary is fenced at the
-  write gate before it can mutate or append.
+  write gate before it can mutate or append; a promoted primary that
+  crashes in turn recovers (through the fault-injecting filesystem) to a
+  prefix of its own history holding every commit it ACKed.
 
 Deterministic tests pin the mechanics each oracle relies on: proxy fault
 injection, client reconnect + circuit breaker + degraded fallback for
-both the cache client and the replica, and the promotion recovery steps
-(tail replay, checkpoint rebase, sequence re-anchoring).
+both the cache client and the replica, and the promotion restore steps
+(tail replay, checkpoint rebase, continued numbering, checkpointing and
+compaction after the promotion).
 """
 
+import os
 import tempfile
 import threading
 
@@ -59,6 +63,8 @@ from ..strategies import (
     mutations,
 )
 from .chaos_proxy import ChaosProxy
+from .fault_fs import FaultyFileSystem
+from .test_durability import surface
 
 EVALUATOR = QueryEvaluator(None)
 
@@ -427,16 +433,16 @@ class TestFailover:
         maintainer.close()  # primary dies after the last ACK
         expected = {c: EVALUATOR.concept_answers(c, state) for c in stream}
 
-        promotion = FailoverCoordinator().promote(replica, tmp)
+        primary = FailoverCoordinator().promote(replica, tmp).maintainer
         try:
-            report = promotion.report
-            assert report.start_sequence >= acked_sequence
+            report = primary.recovery_report
+            assert report.recovered_sequence >= acked_sequence
             assert report.replayed_epochs > 0  # the WAL tail bridged the gap
-            assert not report.snapshot_rebuilt
+            assert report.base == "live"  # no rebuild from the checkpoint
             for concept, answers in expected.items():
-                assert EVALUATOR.concept_answers(concept, promotion.state) == answers
+                assert EVALUATOR.concept_answers(concept, primary.state) == answers
         finally:
-            promotion.close()
+            primary.close()
 
     def test_promotion_rebases_onto_a_newer_checkpoint(self):
         tmp = tempfile.mkdtemp()
@@ -454,15 +460,16 @@ class TestFailover:
         maintainer.close()
         expected = {c: EVALUATOR.concept_answers(c, state) for c in stream}
 
-        promotion = FailoverCoordinator().promote(replica, tmp)
+        primary = FailoverCoordinator().promote(replica, tmp).maintainer
         try:
-            assert promotion.report.snapshot_rebuilt
-            assert promotion.report.checkpoint_sequence == checkpoint.sequence
-            assert promotion.report.start_sequence >= checkpoint.sequence
+            report = primary.recovery_report
+            assert report.base == "checkpoint"  # rebuilt from the checkpoint
+            assert report.checkpoint_sequence == checkpoint.sequence
+            assert report.recovered_sequence >= checkpoint.sequence
             for concept, answers in expected.items():
-                assert EVALUATOR.concept_answers(concept, promotion.state) == answers
+                assert EVALUATOR.concept_answers(concept, primary.state) == answers
         finally:
-            promotion.close()
+            primary.close()
 
     def test_promoted_primary_accepts_and_logs_new_writes(self):
         tmp = tempfile.mkdtemp()
@@ -474,21 +481,21 @@ class TestFailover:
             assert state.last_commit_ticket.wait_durable(timeout=5.0)
         maintainer.close()
 
-        promotion = FailoverCoordinator().promote(replica, tmp)
+        primary = FailoverCoordinator().promote(replica, tmp).maintainer
         try:
-            before = promotion.wal.durable_sequence
+            before = primary.wal.durable_sequence
             for op in generate_update_stream(
-                optimizer.sl_schema, promotion.state, 3, seed=11
+                optimizer.sl_schema, primary.state, 3, seed=11
             ):
-                apply_update(promotion.state, op)
-            ticket = promotion.state.last_commit_ticket
+                apply_update(primary.state, op)
+            ticket = primary.state.last_commit_ticket
             assert ticket is not None and ticket.wait_durable(timeout=5.0)
-            assert promotion.wal.durable_sequence > before
+            assert primary.wal.durable_sequence > before
             # The new primary can itself back a replica server: the epoch
             # numbering continues the recovered log.
-            assert promotion.state.commit_sequence == promotion.wal.durable_sequence
+            assert primary.state.commit_sequence == primary.wal.durable_sequence
         finally:
-            promotion.close()
+            primary.close()
 
     def test_revived_stale_primary_is_fenced(self):
         tmp = tempfile.mkdtemp()
@@ -505,7 +512,7 @@ class TestFailover:
         # The old primary merely *stalls* (no crash): promotion bumps the
         # fencing epoch, so when it revives, the write gate rejects it
         # before any mutation or WAL append can happen.
-        promotion = coordinator.promote(replica, tmp + "-new")
+        primary = coordinator.promote(replica, tmp + "-new").maintainer
         try:
             ops = list(
                 generate_update_stream(optimizer.sl_schema, state, 2, seed=15)
@@ -516,13 +523,36 @@ class TestFailover:
             assert state.commit_sequence == sequence_at_failover  # nothing slipped
             # The promoted primary keeps writing under the current epoch.
             for op in generate_update_stream(
-                optimizer.sl_schema, promotion.state, 2, seed=17
+                optimizer.sl_schema, primary.state, 2, seed=17
             ):
-                apply_update(promotion.state, op)
-            assert promotion.state.last_commit_ticket.wait_durable(timeout=5.0)
+                apply_update(primary.state, op)
+            assert primary.state.last_commit_ticket.wait_durable(timeout=5.0)
         finally:
-            promotion.close()
+            primary.close()
             maintainer.close()
+
+    def test_promoted_primary_checkpoints_and_compacts(self):
+        tmp = tempfile.mkdtemp()
+        optimizer, state, _, maintainer = durable_primary(tmp)
+        with ReplicaServer(state, optimizer.catalog) as server:
+            replica = SnapshotReplica(server.address).connect()
+        maintainer.checkpoint()
+        maintainer.close()
+
+        primary = FailoverCoordinator().promote(replica, tmp, segment_bytes=512).maintainer
+        try:
+            start = primary.state.commit_sequence
+            for index in range(primary.checkpoint_every):
+                primary.state.add_object(f"promoted{index}")
+            covered = start + primary.checkpoint_every
+            names = os.listdir(tmp)
+            assert [name for name in names if name.endswith(".ckpt")] == [
+                f"checkpoint-{covered:012d}.ckpt"
+            ]
+            # The segments the checkpoint covers are gone; the active one stays.
+            assert len([name for name in names if name.endswith(".seg")]) == 1
+        finally:
+            primary.close()
 
     def test_promote_rejects_a_mismatched_catalog(self):
         tmp = tempfile.mkdtemp()
@@ -535,7 +565,7 @@ class TestFailover:
         replica.optimizer.catalog.unregister(dropped)
         with pytest.raises(WalError, match=f"missing=\\['{dropped}'\\]"):
             FailoverCoordinator().promote(replica, tmp)
-        FailoverCoordinator().promote(replica, tmp, strict_catalog=False).close()
+        FailoverCoordinator().promote(replica, tmp, strict_catalog=False).maintainer.close()
 
     def test_promote_requires_a_connected_replica(self):
         with pytest.raises(ValueError):
@@ -702,12 +732,86 @@ def test_failover_oracle(epochs, catchup_after, sync_every, take_checkpoint):
         expected = {c: EVALUATOR.concept_answers(c, state) for c in stream}
 
         promotion = coordinator.promote(replica, tmp)
-        assert promotion.report.start_sequence >= acked
+        primary = promotion.maintainer
+        assert primary.recovery_report.recovered_sequence >= acked
         for concept, answers in expected.items():
-            assert EVALUATOR.concept_answers(concept, promotion.state) == answers
+            assert EVALUATOR.concept_answers(concept, primary.state) == answers
         with pytest.raises(FencedOut):
             apply_update(state, ops[0])
     finally:
         if promotion is not None:
-            promotion.close()
+            promotion.maintainer.close()
         maintainer.close()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_failover_crash_oracle(data):
+    """A promoted primary recovers to a prefix of its own history.
+
+    The primary commits under a drawn ``sync_every`` (``None``: only a
+    waiter's group fsync makes a commit durable), a replica catches up at
+    a drawn point, and the primary dies with its durable image.  The
+    promoted primary's history is the replica's prefix, then the durable
+    tail, then its own commits; it ACKs commits of its own and dies too.
+    Recovery must land on that history, at or past every ACKed commit.
+    """
+    fs = FaultyFileSystem()
+    sync_every = data.draw(st.sampled_from([1, 2, None]), label="sync_every")
+    state = DatabaseState(ORACLE_SCHEMA)
+    state.add_object("o0", ORACLE_CLASSES[0])
+    catalog = hierarchical_catalog(ORACLE_SCHEMA, 6, seed=2)
+    catalog.refresh_all(state)
+    maintainer = DurableMaintainer(
+        state, catalog, path="/wal", fs=fs, sync_every=sync_every, checkpoint_every=None
+    )
+    maintainer.checkpoint()  # the seed data predates the log
+    history = {state.commit_sequence: surface(state.snapshot())}
+    steps = st.lists(
+        mutations(ORACLE_OBJECTS, ORACLE_CLASSES, ORACLE_ATTRS, max_batch=4),
+        min_size=1,
+        max_size=8,
+    )
+    batches = data.draw(steps, label="primary")
+    catch_up = data.draw(st.integers(0, len(batches)), label="catch_up")
+    try:
+        with ReplicaServer(state, catalog) as server:
+            replica = SnapshotReplica(server.address).connect()
+            for index, batch in enumerate(batches):
+                apply_mutation(state, batch)
+                history[state.commit_sequence] = surface(state.snapshot())
+                if index + 1 == catch_up:
+                    replica.ensure_fresh(0)
+    finally:
+        maintainer.kill()
+    fs.crash()
+
+    promotion = FailoverCoordinator().promote(replica, "/wal", fs=fs, sync_every=sync_every)
+    primary = promotion.maintainer
+    acked = 0
+    try:
+        start = primary.state.commit_sequence
+        history = {sequence: value for sequence, value in history.items() if sequence <= start}
+        assert surface(primary.state.snapshot()) == history[start]
+        for batch in data.draw(steps, label="promoted"):
+            before = primary.state.commit_sequence
+            apply_mutation(primary.state, batch)
+            if primary.state.commit_sequence != before:
+                assert primary.state.last_commit_ticket.wait_durable(timeout=5.0)
+                acked = primary.state.commit_sequence
+            history[primary.state.commit_sequence] = surface(primary.state.snapshot())
+    finally:
+        primary.kill()
+    fs.crash()
+
+    recovered_catalog = hierarchical_catalog(ORACLE_SCHEMA, 6, seed=2)
+    recovered = DurableMaintainer.open("/wal", ORACLE_SCHEMA, recovered_catalog, fs=fs)
+    try:
+        report = recovered.recovery_report
+        assert report.recovered_sequence >= acked
+        assert surface(recovered.state.snapshot()) == history[report.recovered_sequence]
+        for view in recovered_catalog:
+            expected = EVALUATOR.concept_answers(view.concept, recovered.state)
+            assert view.stored_extent == expected, view.name
+    finally:
+        recovered.kill()

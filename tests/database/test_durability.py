@@ -41,10 +41,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.concepts import builders as b
+from repro.concepts.schema import Schema
 from repro.database.commit import DurabilityError, FaultPolicy
 from repro.database.maintenance import DurableMaintainer
 from repro.database.query_eval import QueryEvaluator
+from repro.database.replica import ReplicaServer, SnapshotReplica
 from repro.database.store import DatabaseState, EpochRecord, ObjectAdded
+from repro.database.views import ViewCatalog
 from repro.database.wal import WalError, WriteAheadLog, _encode_frame
 from repro.workloads.synthetic import SchemaProfile, random_schema
 
@@ -242,9 +246,11 @@ class TestWalMechanics:
 
 
 def open_recovered(fs, catalog, **kwargs):
-    return DurableMaintainer.open(
-        LOG_DIR, SCHEMA, catalog, fs=fs, **kwargs
-    )
+    return open_recovered_under(fs, SCHEMA, catalog, **kwargs)
+
+
+def open_recovered_under(fs, schema, catalog, **kwargs):
+    return DurableMaintainer.open(LOG_DIR, schema, catalog, fs=fs, **kwargs)
 
 
 class TestCrashRecoveryOracle:
@@ -267,8 +273,8 @@ class TestCrashRecoveryOracle:
         surfaces = {}
         crashed = False
         try:
-            maintainer.checkpoint()  # make the seed data recoverable
-            surfaces[0] = state.snapshot()
+            genesis = maintainer.checkpoint()  # make the seed data recoverable
+            surfaces[genesis.sequence] = state.snapshot()
             batches = data.draw(
                 st.lists(
                     st.lists(simple_op, min_size=1, max_size=4),
@@ -511,6 +517,87 @@ class TestCrashRecoveryOracle:
             )
         finally:
             relaxed.kill()
+
+
+# ---------------------------------------------------------------------------
+# Restarts continue the history they recover
+# ---------------------------------------------------------------------------
+
+
+class TestRestartContinuity:
+    def test_commit_numbering_continues_across_a_restart(self):
+        """A checkpoint taken right after attaching covers the state's own
+        commits, so a restart numbers new commits past them and a replica
+        that applied the old sequence sees every new epoch as lag."""
+        fs = FaultyFileSystem()
+        state = seed_state()  # three commits before any maintainer attaches
+        catalog = build_catalog()
+        maintainer = DurableMaintainer(
+            state, catalog, path=LOG_DIR, fs=fs, checkpoint_every=None, bootstrap=True
+        )
+        try:
+            genesis = maintainer.checkpoint()
+            with ReplicaServer(state, catalog) as server:
+                replica = SnapshotReplica(server.address).connect()
+            assert replica.applied_sequence == state.commit_sequence == 3
+        finally:
+            maintainer.kill()
+        fs.crash()
+
+        recovered = open_recovered(fs, build_catalog())
+        try:
+            # A plain restart writes no checkpoint: the log already covers it.
+            checkpoints = [name for name in fs.files if name.endswith(".ckpt")]
+            assert checkpoints == [f"{LOG_DIR}/checkpoint-{genesis.sequence:012d}.ckpt"]
+            with ReplicaServer(recovered.state, recovered.catalog) as server:
+                replica.close()
+                replica.address = server.address  # the primary came back here
+                for index in range(3):
+                    recovered.state.add_object(f"new{index}", CLASSES[0])
+                assert replica.ensure_fresh(0) == 0
+                assert {"new0", "new1", "new2"} <= replica.state.objects
+            assert genesis.sequence == recovered.recovery_report.recovered_sequence == 3
+            assert recovered.state.commit_sequence == 6
+        finally:
+            replica.close()
+            recovered.kill()
+
+    def test_a_schema_swap_in_the_tail_needs_the_new_schema(self):
+        """The log records that an epoch swapped the schema, not the new
+        schema: recovering past a swap without ``schema=`` is refused
+        instead of serving the old hierarchy's extents."""
+        fs = FaultyFileSystem()
+        swapped = Schema([b.isa("Student", "Person")])
+
+        def person_catalog():
+            catalog = ViewCatalog(None)
+            catalog.register_concept("Person", b.concept("Person"))
+            return catalog
+
+        state = DatabaseState(Schema.empty())
+        catalog = person_catalog()
+        maintainer = DurableMaintainer(
+            state, catalog, path=LOG_DIR, fs=fs, checkpoint_every=None, bootstrap=True
+        )
+        try:
+            maintainer.checkpoint()
+            state.schema = swapped
+            state.add_object("ann", "Student")
+            maintainer.sync()
+            assert catalog.get("Person").stored_extent == {"ann"}
+        finally:
+            maintainer.kill()
+        fs.crash()
+
+        with pytest.raises(ValueError, match="post-swap schema"):
+            open_recovered_under(fs, None, person_catalog())
+        recovered_catalog = person_catalog()
+        recovered = open_recovered_under(fs, swapped, recovered_catalog)
+        try:
+            assert recovered.state.schema == swapped
+            assert recovered_catalog.get("Person").stored_extent == {"ann"}
+        finally:
+            recovered.kill()
 
 
 # ---------------------------------------------------------------------------
