@@ -344,7 +344,6 @@ class SubsumptionChecker:
         schema: Optional[Schema] = None,
         *,
         use_repair_rule: bool = True,
-        cache: bool = True,
         naive: bool = False,
         shared_cache: bool = True,
         shortcuts: bool = True,
@@ -353,7 +352,6 @@ class SubsumptionChecker:
         self.schema = schema if schema is not None else Schema.empty()
         self.use_repair_rule = use_repair_rule
         self.naive = naive
-        self._cache_enabled = cache
         self._shared_cache_enabled = shared_cache
         self._shortcuts_enabled = shortcuts
         self._schema_token = _schema_token(self.schema)
@@ -475,10 +473,9 @@ class SubsumptionChecker:
         cache; returns ``None`` when the pair has never been decided.  Purely
         a read -- no completion is ever run.
         """
-        if self._cache_enabled:
-            decision = self._cache.get((query_id, view_id))
-            if decision is not None:
-                return decision
+        decision = self._cache.get((query_id, view_id))
+        if decision is not None:
+            return decision
         if self._shared_cache_enabled:
             return _SHARED_DECISIONS.get(
                 (self._schema_token, self.use_repair_rule, query_id, view_id)
@@ -495,8 +492,7 @@ class SubsumptionChecker:
         the per-checker table and, when enabled, the shared process-wide
         cache, exactly like a decision computed by :meth:`subsumes`.
         """
-        if self._cache_enabled:
-            self._cache[(query_id, view_id)] = decision
+        self._cache[(query_id, view_id)] = decision
         if self._shared_cache_enabled:
             _SHARED_DECISIONS[
                 (self._schema_token, self.use_repair_rule, query_id, view_id)
@@ -524,15 +520,13 @@ class SubsumptionChecker:
         normalized_view = normalize_concept(view)
         key = (concept_id(normalized_query), concept_id(normalized_view))
         self._checks += 1
-        if self._cache_enabled and key in self._cache:
+        if key in self._cache:
             self._cache_hits += 1
             return self._cache[key]
         shared_key = (self._schema_token, self.use_repair_rule) + key
         if self._shared_cache_enabled and shared_key in _SHARED_DECISIONS:
             self._shared_cache_hits += 1
-            decision = _SHARED_DECISIONS[shared_key]
-            if self._cache_enabled:
-                self._cache[key] = decision
+            decision = self._cache[key] = _SHARED_DECISIONS[shared_key]
             return decision
         if self._shortcuts_enabled and conjunct_ids(normalized_view) <= conjunct_ids(
             normalized_query
@@ -554,8 +548,7 @@ class SubsumptionChecker:
             decision = False
         else:
             decision = self._complete(normalized_query, normalized_view, key)
-        if self._cache_enabled:
-            self._cache[key] = decision
+        self._cache[key] = decision
         if self._shared_cache_enabled:
             _SHARED_DECISIONS[shared_key] = decision
         return decision

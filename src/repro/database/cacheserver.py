@@ -539,15 +539,6 @@ class RemoteDecisionCache:
             with self._stats_lock:
                 self.sets += len(decisions)
 
-    def touch(self, query_id: int, view_id: int) -> None:
-        """Refresh one entry's LRU recency without reading it."""
-
-        def perform(conn: Connection) -> bool:
-            conn.send(f"touch {self.namespace} {query_id}:{view_id} noreply")
-            return True
-
-        self._exchange(perform)
-
     def stats(self) -> Dict[str, object]:
         """The server's counters (empty on a degraded client).
 

@@ -120,6 +120,7 @@ from ..concepts.visitors import (
     primitive_attributes,
     primitive_concepts,
 )
+from ..core.checker import conjunct_ids
 from .query_eval import QueryEvaluator
 from .store import (
     AttributeRemoved,
@@ -560,14 +561,9 @@ class _MaintenanceEngine:
     through an explicit sink, so the same walk serves both tiers.
     """
 
-    def __init__(
-        self,
-        catalog: ViewCatalog,
-        *,
-        statistics: Optional[MaintenanceStatistics] = None,
-    ) -> None:
+    def __init__(self, catalog: ViewCatalog) -> None:
         self.catalog = catalog
-        self.statistics = statistics if statistics is not None else MaintenanceStatistics()
+        self.statistics = MaintenanceStatistics()
         self._evaluator = QueryEvaluator(catalog.dl_schema)
         self._edge_memo: Dict[Tuple[int, int], bool] = {}
         self._supers_schema = None
@@ -690,8 +686,6 @@ class _MaintenanceEngine:
         key = (child_id, concept_id(parent))
         cached = self._edge_memo.get(key)
         if cached is None:
-            from ..optimizer.parallel import conjunct_ids
-
             cached = self._edge_memo[key] = conjunct_ids(parent) <= conjunct_ids(child)
         return cached
 
@@ -795,14 +789,8 @@ class MaintenanceQueue(_MaintenanceEngine):
         engine keeps correct extents correct, it does not bootstrap them.
     """
 
-    def __init__(
-        self,
-        state: DatabaseState,
-        catalog: ViewCatalog,
-        *,
-        statistics: Optional[MaintenanceStatistics] = None,
-    ) -> None:
-        super().__init__(catalog, statistics=statistics)
+    def __init__(self, state: DatabaseState, catalog: ViewCatalog) -> None:
+        super().__init__(catalog)
         self.state = state
         state.subscribe(self)
         catalog.add_maintenance_listener(self)
@@ -879,14 +867,13 @@ class AsyncMaintainer(_MaintenanceEngine):
         *,
         window: int = 4,
         max_pending: int = 256,
-        statistics: Optional[MaintenanceStatistics] = None,
         bootstrap: bool = False,
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least 1 epoch")
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1 epoch")
-        super().__init__(catalog, statistics=statistics)
+        super().__init__(catalog)
         self.state = state
         self.window = window
         self.max_pending = max_pending

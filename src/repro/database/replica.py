@@ -134,8 +134,6 @@ class _ReplicaState:
     def _rebase_locked(self) -> None:
         self.base_snapshot = self.state.snapshot()
         self.base_sequence = self.state.commit_sequence
-        self.base_generation = self.state.generation
-        self.base_schema = self.state.schema
         self.base_catalog = catalog_identity(self.catalog)
         self.tail = []
         self.rebases += 1
@@ -162,9 +160,9 @@ class _ReplicaState:
                 self.snapshots_served += 1
                 payload = {
                     "sequence": self.base_sequence,
-                    "generation": self.base_generation,
+                    "generation": self.base_snapshot.generation,
                     "snapshot": self.base_snapshot,
-                    "schema": self.base_schema,
+                    "schema": self.base_snapshot.schema,
                     "catalog": self.base_catalog,
                 }
                 return "SNAPSHOT", payload, list(self.tail)
@@ -178,7 +176,7 @@ class _ReplicaState:
             if self.tail:
                 newest = self.tail[-1]
                 return newest.sequence, newest.generation
-            return self.base_sequence, self.base_generation
+            return self.base_sequence, self.base_snapshot.generation
 
 
 class _ReplicaHandler(LineRequestHandler):
@@ -450,11 +448,18 @@ class SnapshotReplica:
     # -- the snapshot + delta legs ------------------------------------------
 
     def _consume_response(self, conn: Connection, request: str) -> int:
-        """Send a HELLO or POLL; apply its SNAPSHOT or DELTA; epochs applied."""
+        """Send a HELLO or POLL; apply its SNAPSHOT or DELTA; epochs applied.
+
+        Records the lag the reply leaves behind: a ``DELTA`` header names
+        the primary's newest sequence, and a ``SNAPSHOT`` ships every epoch
+        the primary held when it answered.
+        """
         kind, fields = self._request(conn, request, "SNAPSHOT", "DELTA")
         if kind == "SNAPSHOT":
             self._load_snapshot(_read_frame(conn.rfile))
-        return sum(self._apply_epoch(_read_frame(conn.rfile)) for _ in range(fields[-1]))
+        applied = sum(self._apply_epoch(_read_frame(conn.rfile)) for _ in range(fields[-1]))
+        self._last_known_lag = max(0, fields[0] - self.applied_sequence)
+        return applied
 
     def _load_snapshot(self, payload: Dict) -> None:
         from ..optimizer.optimizer import SemanticQueryOptimizer
@@ -541,7 +546,10 @@ class SnapshotReplica:
     def ensure_fresh(self, max_lag: Optional[int] = None, *, attempts: int = 64) -> int:
         """Catch up until ``lag <= max_lag`` (default: the staleness bound).
 
-        Returns the final verified lag and clears the degraded status.
+        Asks the primary's position once (one ``STAT``), then polls; each
+        poll's reply says how far the primary was, so a catch-up needs no
+        second ``STAT``.  Returns the final verified lag and clears the
+        degraded status.
         Raises a typed :class:`~repro.database.faults.StalenessError` if
         the bound cannot be met within ``attempts`` polls against a
         *reachable* primary (a primary outrunning the replica's apply
@@ -556,19 +564,20 @@ class SnapshotReplica:
         primary).  The next successful exchange heals the status.
         """
         bound = self.staleness_bound if max_lag is None else max_lag
+        try:
+            lag = self.lag
+        except (OSError, ReplicaProtocolError) as error:
+            if self.state is None or not isinstance(error, OSError):
+                raise
+            self._note_degraded(error)
+            return self._last_known_lag or 0
         for _ in range(attempts):
-            try:
-                lag = self.lag
-            except (OSError, ReplicaProtocolError) as error:
-                if self.state is None or not isinstance(error, OSError):
-                    raise
-                self._note_degraded(error)
-                return self._last_known_lag or 0
             if lag <= bound:
                 return lag
             self.poll()
             if self._degraded is not None:
                 return self._last_known_lag or 0
+            lag = self._last_known_lag
         lag = self.lag
         if lag > bound:
             raise StalenessError(

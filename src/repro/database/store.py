@@ -34,12 +34,13 @@ Since PR 4 the store is **versioned and delta-logged**:
   ``(subject, attribute)`` -> values) make :meth:`remove_object`,
   :meth:`attribute_values` and :meth:`neighbours` proportional to the
   object's own data instead of the whole store;
-* upward-closed extents are memoized per class with targeted,
-  generation-correct invalidation (a membership change invalidates exactly
-  the class and its superclasses), and :meth:`to_interpretation` is a
-  cached, incrementally patched export: unchanged per-class / per-attribute
-  frozensets are reused, and the :class:`Interpretation` is rebuilt through
-  the trusted fast path only when the generation moved.
+* upward-closed extents, attribute extensions and explicit memberships
+  are memoized per name as frozensets with targeted invalidation (a
+  membership change invalidates exactly the class and its superclasses),
+  and the state has **one export**: :meth:`DatabaseState.snapshot` pins the
+  current generation as a :class:`StateSnapshot` built at most once per
+  generation from those frozensets, and :meth:`to_interpretation` is that
+  snapshot's :class:`Interpretation`, built on first use.
 
 ``with state.batch():`` opens a mutation epoch.  The store is the one place
 an epoch is sealed: at the end of the outermost batch it builds a single
@@ -102,11 +103,6 @@ class IntegrityViolation:
 # ---------------------------------------------------------------------------
 # Typed deltas (the mutation log records)
 # ---------------------------------------------------------------------------
-
-
-#: Bound on cached constants-extended interpretation exports per generation
-#: (each retains an O(domain) constant map; see :meth:`to_interpretation`).
-_MAX_EXTENDED_EXPORTS = 64
 
 
 @dataclass(frozen=True)
@@ -182,26 +178,36 @@ class EpochRecord:
 class StateSnapshot:
     """An immutable, generation-pinned read view of a :class:`DatabaseState`.
 
-    Pins the state *as of one generation*: the object set, the ``SL``
-    schema, and the cached interpretation export, all of which are frozen
-    structures shared with the live state (taking a snapshot is O(classes +
-    attributes), not O(data)).  The snapshot exposes exactly the read
-    surface query evaluation and the maintenance flush walk consume
-    (:meth:`to_interpretation`, :attr:`objects`, :meth:`extent`,
-    :meth:`attribute_pairs`, :meth:`neighbours`), so views can be
-    re-materialized against a *past* generation while the live state keeps
-    mutating -- the serve-from-generation substrate of the async
-    maintenance tier (:class:`repro.database.maintenance.AsyncMaintainer`).
+    The state's one export: :meth:`DatabaseState.snapshot` builds it at
+    most once per generation, and :meth:`DatabaseState.to_interpretation`
+    is its :meth:`to_interpretation`.  It pins the state *as of one
+    generation* -- the object set, the ``SL`` schema, the explicit
+    memberships and the upward-closed per-class and per-attribute
+    extensions, all frozensets memoized by the live state and shared with
+    it (taking a snapshot is O(classes + attributes), not O(data)).  The
+    snapshot exposes exactly the read surface query evaluation and the
+    maintenance flush walk consume (:meth:`to_interpretation`,
+    :attr:`objects`, :meth:`extent`, :meth:`attribute_pairs`,
+    :meth:`neighbours`), so views can be re-materialized against a *past*
+    generation while the live state keeps mutating -- the
+    serve-from-generation substrate of the async maintenance tier
+    (:class:`repro.database.maintenance.AsyncMaintainer`).
+
+    The :class:`Interpretation` and the adjacency index are built on first
+    use.  Reader threads may share a snapshot: two threads that build one
+    of them at the same time build equal objects, and either may win.
 
     Snapshots are **picklable** (custom ``__getstate__``/``__setstate__``
-    over the slots, dropping the lazily built index): the durable
-    tier's checkpoint files (:mod:`repro.database.wal`) are pickled
-    snapshots.  To make a checkpoint lossless the snapshot also pins the
-    *explicit* membership assertions (:attr:`explicit`) -- the upward-closed
-    extents alone cannot reconstruct a live state, since retracting an
-    explicit membership later must not disturb closures contributed by
-    other explicit assertions.  :meth:`DatabaseState.from_snapshot` rebuilds
-    a live state from that explicit surface.
+    over the slots) and pickle the pinned data only -- the lazily built
+    interpretation and index are rebuilt on the other side: the durable
+    tier's checkpoint files (:mod:`repro.database.wal`) and the replica
+    stream's snapshot leg are pickled snapshots.  To make a checkpoint
+    lossless the snapshot pins the *explicit* membership assertions
+    (:attr:`explicit`) -- the upward-closed extents alone cannot
+    reconstruct a live state, since retracting an explicit membership later
+    must not disturb closures contributed by other explicit assertions.
+    :meth:`DatabaseState.from_snapshot` rebuilds a live state from that
+    explicit surface.
     """
 
     __slots__ = (
@@ -220,56 +226,62 @@ class StateSnapshot:
         self.schema = state.schema
         self.objects = state.objects
         self.explicit = {
-            class_name: frozenset(members)
+            class_name: state.explicit_extent(class_name)
             for class_name, members in state._memberships.items()
             if members
         }
-        self._interpretation = state.to_interpretation()
-        if state._objects:
-            # The per-name frozensets backing the export; _export_base
-            # builds fresh dicts per generation and never mutates old ones,
-            # so holding references pins them.  (to_interpretation() above
-            # refreshed them to this generation.)
-            self._concepts = dict(state._interp_concepts)
-            self._attributes = dict(state._interp_attributes)
-        else:
-            # The empty-state export bypasses _export_base, whose dicts may
-            # still describe the last non-empty generation.
-            self._concepts = {}
-            self._attributes = {}
+        self._concepts = {name: state.extent(name) for name in state.classes()}
+        self._attributes = {name: state.attribute_pairs(name) for name in state.attributes()}
+        self._interpretation: Optional[Interpretation] = None
         self._adjacency: Dict[Tuple[str, bool], Dict[str, List[str]]] = {}
 
     def __getstate__(self):
-        # Slots class: pickle every slot except the lazily built adjacency
-        # index (cheap to rebuild, and keeping it out makes checkpoint
-        # payloads independent of whether a flush walked the snapshot).
+        # Slots class: pickle the pinned data, not the lazily built
+        # interpretation and adjacency index (both rebuilt on first use, so
+        # checkpoint and snapshot-leg payloads carry nothing derived).
         return {
             "generation": self.generation,
             "schema": self.schema,
             "objects": self.objects,
             "explicit": self.explicit,
-            "_interpretation": self._interpretation,
             "_concepts": self._concepts,
             "_attributes": self._attributes,
         }
 
     def __setstate__(self, payload) -> None:
+        # Older checkpoints also pickled the interpretation; it is dropped
+        # and rebuilt like any other snapshot's.
         for slot, value in payload.items():
             object.__setattr__(self, slot, value)
+        object.__setattr__(self, "_interpretation", None)
         object.__setattr__(self, "_adjacency", {})
 
     def to_interpretation(self, constants: Optional[Iterable[str]] = None) -> Interpretation:
-        """The pinned state as a finite interpretation (see ``DatabaseState``)."""
+        """The pinned state as a finite interpretation (classes upward-closed along ``isA``).
+
+        Every object identifier also serves as a constant denoting itself, so
+        singleton concepts ``{o}`` in queries refer to stored objects;
+        ``constants`` may add further constant names that should denote
+        themselves (they are added to the domain if missing).
+
+        Built through the trusted fast path on the first call and kept: later
+        calls return the *same* :class:`Interpretation`.  An export extended
+        with constants that are not stored objects is built afresh on each
+        call.  The domain of an empty state is one placeholder element that
+        no constant denotes.
+        """
         extra = frozenset(constants or ()) - self.objects
-        if not extra:
-            return self._interpretation
-        if not self.objects:
-            constant_map = {name: name for name in extra}
-            return Interpretation(extra, {}, {}, constant_map)
-        domain = self._interpretation.domain | extra
-        constant_map = {obj: obj for obj in domain}
+        if extra:
+            return self._export(self.objects | extra)
+        interpretation = self._interpretation
+        if interpretation is None:
+            interpretation = self._interpretation = self._export(self.objects)
+        return interpretation
+
+    def _export(self, domain: FrozenSet[str]) -> Interpretation:
+        constant_map = {name: name for name in domain}
         return Interpretation.trusted(
-            frozenset(domain), self._concepts, self._attributes, constant_map
+            domain or frozenset({"__empty__"}), self._concepts, self._attributes, constant_map
         )
 
     def __len__(self) -> int:
@@ -366,14 +378,11 @@ class DatabaseState:
         self._supers_memo: Dict[str, FrozenSet[str]] = {}
         self._extent_memo: Dict[str, FrozenSet[str]] = {}
         self._frozen_attrs: Dict[str, FrozenSet[Tuple[str, str]]] = {}
+        self._frozen_members: Dict[str, FrozenSet[str]] = {}
         self._frozen_objects: Optional[FrozenSet[str]] = None
 
-        # Cached interpretation export (generation-keyed).
-        self._interp_generation = -1
-        self._interp_base: Optional[Interpretation] = None
-        self._interp_concepts: Dict[str, FrozenSet[str]] = {}
-        self._interp_attributes: Dict[str, FrozenSet[Tuple[str, str]]] = {}
-        self._interp_extended: Dict[FrozenSet[str], Interpretation] = {}
+        # The current generation's snapshot, the state's one export.
+        self._snapshot: Optional[StateSnapshot] = None
 
     # -- schema ----------------------------------------------------------------
 
@@ -565,6 +574,7 @@ class DatabaseState:
                 return
             members.add(object_id)
             self._classes_of.setdefault(object_id, set()).add(class_name)
+            self._frozen_members.pop(class_name, None)
             self._invalidate_extents(class_name)
             self._touch_generation()
             self._emit(MembershipAsserted(object_id, class_name))
@@ -577,6 +587,7 @@ class DatabaseState:
                 return
             members.discard(object_id)
             self._classes_of.get(object_id, set()).discard(class_name)
+            self._frozen_members.pop(class_name, None)
             self._invalidate_extents(class_name)
             self._touch_generation()
             self._emit(MembershipRetracted(object_id, class_name))
@@ -662,8 +673,12 @@ class DatabaseState:
         return len(self._objects)
 
     def explicit_extent(self, class_name: str) -> FrozenSet[str]:
-        """The objects explicitly asserted to be members of the class."""
-        return frozenset(self._memberships.get(class_name, ()))
+        """The objects explicitly asserted to be members of the class (memoized)."""
+        cached = self._frozen_members.get(class_name)
+        if cached is None:
+            cached = frozenset(self._memberships.get(class_name, ()))
+            self._frozen_members[class_name] = cached
+        return cached
 
     def extent(self, class_name: str) -> FrozenSet[str]:
         """The class extent closed upwards along ``isA``.
@@ -818,15 +833,20 @@ class DatabaseState:
     # -- export -----------------------------------------------------------------
 
     def snapshot(self) -> StateSnapshot:
-        """Pin the current generation as an immutable :class:`StateSnapshot`.
+        """The current generation as an immutable :class:`StateSnapshot`.
 
-        The snapshot shares the frozen per-name extensions with the cached
-        interpretation export, so taking one costs a dict copy, not a data
-        copy.  Later mutations of this state never change a snapshot:
-        readers (and the async maintenance worker) evaluate against the
-        pinned generation while the live state moves on.
+        Built at most once per generation from the memoized per-name
+        frozensets, so it costs one lookup per class and attribute, not a
+        data copy; until the generation moves every call returns the same
+        snapshot, however many listeners, checkpoints and readers ask.
+        Later mutations of this state never change a snapshot: readers (and
+        the async maintenance worker) evaluate against the pinned
+        generation while the live state moves on.
         """
-        return StateSnapshot(self)
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.generation != self.generation:
+            snapshot = self._snapshot = StateSnapshot(self)
+        return snapshot
 
     @classmethod
     def from_snapshot(
@@ -902,63 +922,13 @@ class DatabaseState:
             raise TypeError(f"unknown delta type: {type(delta).__name__}")
 
     def to_interpretation(self, constants: Optional[Iterable[str]] = None) -> Interpretation:
-        """The state as a finite interpretation (classes upward-closed along ``isA``).
+        """The state as a finite interpretation: its snapshot's (see :meth:`snapshot`).
 
-        Every object identifier also serves as a constant denoting itself, so
-        singleton concepts ``{o}`` in queries refer to stored objects;
-        ``constants`` may add further constant names that should denote
-        themselves (they are added to the domain if missing).
-
-        The export is cached on :attr:`generation`: while the state does not
-        change, repeated calls return the *same* :class:`Interpretation`
-        object, and after a change only the per-class / per-attribute pieces
-        whose memos were invalidated are recomputed (the rest of the frozen
-        extensions are shared with the previous export).
+        The same :class:`Interpretation` object while the generation does
+        not move; :meth:`StateSnapshot.to_interpretation` says how
+        ``constants`` extend it.
         """
-        if not self._objects:
-            # The tiny empty-state export keeps the original (validating)
-            # construction: a placeholder element when nothing denotes.
-            domain: Set[str] = set(constants or ())
-            constant_map = {name: name for name in domain}
-            if not domain:
-                domain = {"__empty__"}
-            return Interpretation(domain, {}, {}, constant_map)
-        extra = frozenset(constants or ()) - self.objects
-        base = self._export_base()
-        if not extra:
-            return base
-        cached = self._interp_extended.get(extra)
-        if cached is None:
-            domain = base.domain | extra
-            constant_map = {obj: obj for obj in domain}
-            cached = Interpretation.trusted(
-                frozenset(domain), self._interp_concepts, self._interp_attributes, constant_map
-            )
-            # Each entry retains an O(domain) constant map; a read-heavy
-            # phase with many distinct constraint-constant sets must not
-            # accumulate them without bound.
-            if len(self._interp_extended) >= _MAX_EXTENDED_EXPORTS:
-                self._interp_extended.clear()
-            self._interp_extended[extra] = cached
-        return cached
-
-    def _export_base(self) -> Interpretation:
-        if self._interp_base is not None and self._interp_generation == self.generation:
-            return self._interp_base
-        domain = self.objects
-        # Incremental patch: extent()/attribute_pairs() are memoized, so
-        # only the entries a mutation invalidated are recomputed; the dicts
-        # themselves are rebuilt (cheap -- one lookup per name) so
-        # previously exported interpretations stay frozen.
-        self._interp_concepts = {name: self.extent(name) for name in self.classes()}
-        self._interp_attributes = {name: self.attribute_pairs(name) for name in self.attributes()}
-        constant_map = {obj: obj for obj in domain}
-        self._interp_base = Interpretation.trusted(
-            domain, self._interp_concepts, self._interp_attributes, constant_map
-        )
-        self._interp_generation = self.generation
-        self._interp_extended.clear()
-        return self._interp_base
+        return self.snapshot().to_interpretation(constants)
 
     # -- synonym handling ----------------------------------------------------------
 

@@ -71,7 +71,8 @@ header, short payload, CRC mismatch, unpicklable payload or a sequence
 regression -- and reports exactly what was dropped (bytes, parseable
 records, corrupt checkpoints).  Recovery never raises on torn input; a
 writer re-opening the directory truncates the torn tail
-(:meth:`WriteAheadLog.reset_to`) before appending again.
+(:meth:`WriteAheadLog.reset_to`, from what the scan recorded) before
+appending again.
 
 All OS access goes through a tiny filesystem seam (:class:`OsFileSystem`),
 so the fault-injection harness (``tests/database/fault_fs.py``) can tear
@@ -236,6 +237,12 @@ class WalRecovery:
     segments_scanned: int = 0
     #: Per-segment valid-prefix byte lengths (consumed by ``reset_to``).
     good_lengths: Dict[str, int] = field(default_factory=dict)
+    #: Last record sequence of each segment with a valid prefix (the
+    #: compaction bookkeeping ``reset_to`` adopts).
+    segment_last: Dict[str, int] = field(default_factory=dict)
+    #: The segment whose valid prefix ends before its bytes do -- at most
+    #: one, since the scan stops there (rewritten on reset).
+    torn_segment: Optional[str] = None
     #: Segments wholly past the first bad frame (dropped, removed on reset).
     abandoned_segments: Tuple[str, ...] = ()
 
@@ -712,21 +719,21 @@ class WriteAheadLog:
         broken = False
         for name in segments:
             data = self.fs.read(os.path.join(self.path, name))
+            records, good = _parse_frames(data, previous)
             if broken:
                 # Past the first bad frame nothing is trustworthy; count
                 # this segment's parseable prefix so the report is honest.
-                records, good = _parse_frames(data, previous)
                 recovery.dropped_records += len(records)
                 recovery.dropped_bytes += len(data)
                 abandoned.append(name)
                 continue
-            records, good = _parse_frames(data, previous)
             epochs.extend(records)
             if records:
-                previous = records[-1].sequence
+                previous = recovery.segment_last[name] = records[-1].sequence
             recovery.good_lengths[name] = good
             if good < len(data):
                 recovery.dropped_bytes += len(data) - good
+                recovery.torn_segment = name
                 broken = True
         recovery.abandoned_segments = tuple(abandoned)
         recovery.epochs = tuple(
@@ -746,32 +753,27 @@ class WriteAheadLog:
 
         Truncates the torn tail (rewriting the broken segment's valid
         prefix through the atomic temp+rename discipline), removes
-        abandoned segments, and re-adopts the surviving tail segment as
-        the active one so new frames continue the recovered sequence.
-        Recovery itself never mutates the directory -- only a writer that
-        intends to append pays this.
+        abandoned segments and segments without a valid frame, and
+        re-adopts the surviving tail segment as the active one so new
+        frames continue the recovered sequence.  Everything else it needs
+        the scan already learned, so the torn segment is the only file it
+        reads.  Recovery itself never mutates the directory -- only a
+        writer that intends to append pays this.
         """
         for name in recovery.abandoned_segments:
             self.fs.remove(os.path.join(self.path, name))
-        self._segment_last = {}
-        previous = 0
-        for name in sorted(recovery.good_lengths):
-            target = os.path.join(self.path, name)
-            data = self.fs.read(target)
-            good = recovery.good_lengths[name]
-            if good == 0:
-                self.fs.remove(target)
-                continue
-            if good < len(data):
-                temp = target + ".tmp"
-                self.fs.write(temp, data[:good])
-                self.fs.fsync(temp)
-                self.fs.replace(temp, target)
-                self.fs.fsync_dir(self.path)
-            records, _ = _parse_frames(data[:good], previous)
-            if records:
-                self._segment_last[name] = records[-1].sequence
-                previous = records[-1].sequence
+        for name, good in recovery.good_lengths.items():
+            if not good:
+                self.fs.remove(os.path.join(self.path, name))
+        torn = recovery.torn_segment
+        if torn is not None and recovery.good_lengths[torn]:
+            target = os.path.join(self.path, torn)
+            temp = target + ".tmp"
+            self.fs.write(temp, self.fs.read(target)[: recovery.good_lengths[torn]])
+            self.fs.fsync(temp)
+            self.fs.replace(temp, target)
+            self.fs.fsync_dir(self.path)
+        self._segment_last = dict(recovery.segment_last)
         retained = sorted(self._segment_last)
         if retained:
             self._active = retained[-1]

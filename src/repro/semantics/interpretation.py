@@ -108,8 +108,9 @@ class Interpretation:
         that re-export a large structure after a small change.  This fast
         path trusts the caller to pass frozensets that satisfy the
         constructor's invariants (extensions within the domain, Unique Name
-        Assumption); :meth:`DatabaseState.to_interpretation` maintains them
-        by construction and is property-tested against the validating path.
+        Assumption); :meth:`StateSnapshot.to_interpretation`, the database
+        state's one export, maintains them by construction and is
+        property-tested against the validating path.
         """
         self = cls.__new__(cls)
         self._domain = domain

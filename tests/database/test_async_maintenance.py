@@ -398,6 +398,33 @@ class TestStateSnapshotPinning:
             <= frozen_objects
         )
 
+    def test_one_snapshot_per_generation(self):
+        state = seed_state()
+        snapshot = state.snapshot()
+        assert state.snapshot() is snapshot
+        assert state.to_interpretation() is snapshot.to_interpretation()
+        state.add_object("o0", CLASSES[0])  # idempotent: no new generation
+        assert state.snapshot() is snapshot
+        state.add_object("later", CLASSES[0])
+        moved = state.snapshot()
+        assert moved is not snapshot
+        assert moved.generation == state.generation
+        assert "later" not in snapshot.objects and "later" in moved.objects
+
+    def test_snapshots_share_the_explicit_sets_an_epoch_left_alone(self):
+        state = seed_state()
+        before = state.snapshot()
+        with state.batch():
+            state.add_object("later", CLASSES[0])
+            state.retract_membership("o0", CLASSES[0])
+        after = state.snapshot()
+        untouched = set(before.explicit) - {CLASSES[0]}
+        assert untouched
+        for name in untouched:
+            assert after.explicit[name] is before.explicit[name]
+        assert after.explicit[CLASSES[0]] == {"later"}
+        assert before.explicit[CLASSES[0]] == {"o0"}
+
     def test_snapshot_extends_with_fresh_constants(self):
         state = seed_state()
         snapshot = state.snapshot()

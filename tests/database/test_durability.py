@@ -24,9 +24,12 @@ The WAL is the system's only crash recovery, so the oracle also covers a
 dead flush worker: its commits raise but still reach the log, and
 :meth:`DurableMaintainer.open` recovers them.  Satellites checked here too:
 logs that pickled ``EpochRecord`` under its old ``repro.database.wal``
-class path still recover, and the
-:class:`~repro.database.store.StateSnapshot` pickle round-trip holds,
-including interned-concept stability in a fresh process.
+class path still recover, a restart reads each log segment once, a
+commit, its checkpoint and its readers share one
+:class:`~repro.database.store.StateSnapshot`, and the snapshot pickle
+round-trip holds -- pinned data only, checkpoints that also pickled the
+interpretation included, with interned-concept stability in a fresh
+process.
 """
 
 import os
@@ -35,6 +38,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,9 +51,16 @@ from repro.database.commit import DurabilityError, FaultPolicy
 from repro.database.maintenance import DurableMaintainer
 from repro.database.query_eval import QueryEvaluator
 from repro.database.replica import ReplicaServer, SnapshotReplica
-from repro.database.store import DatabaseState, EpochRecord, ObjectAdded
+from repro.database.store import DatabaseState, EpochRecord, ObjectAdded, StateSnapshot
 from repro.database.views import ViewCatalog
-from repro.database.wal import WalError, WriteAheadLog, _encode_frame
+from repro.database.wal import (
+    CheckpointPayload,
+    OsFileSystem,
+    WalError,
+    WriteAheadLog,
+    _encode_frame,
+    catalog_identity,
+)
 from repro.workloads.synthetic import SchemaProfile, random_schema
 
 from ..strategies import (
@@ -173,8 +184,6 @@ class TestWalMechanics:
         path = str(tmp_path / "log")
         wal = WriteAheadLog(path, sync_every=1)
         wal.append(record(1))
-        from repro.database.wal import CheckpointPayload
-
         snapshot = DatabaseState(SCHEMA).snapshot()
         wal.write_checkpoint(CheckpointPayload(sequence=1, snapshot=snapshot))
         wal.close()
@@ -191,8 +200,6 @@ class TestWalMechanics:
         wal = WriteAheadLog(path, sync_every=1, segment_bytes=1)  # roll every frame
         for sequence in range(1, 5):
             wal.append(record(sequence))
-        from repro.database.wal import CheckpointPayload
-
         snapshot = DatabaseState(SCHEMA).snapshot()
         wal.write_checkpoint(CheckpointPayload(sequence=2, snapshot=snapshot))
         wal.close()
@@ -211,6 +218,40 @@ class TestWalMechanics:
         found = WriteAheadLog(path).recover()
         assert [epoch.sequence for epoch in found.epochs] == list(range(1, 30))
         assert found.segments_scanned > 1
+
+    def test_open_reads_each_segment_once(self, tmp_path):
+        # reset_to adopts what the recovery scan learned, so an untorn
+        # log's segments are read by that scan and by nothing else.
+        class CountingFileSystem(OsFileSystem):
+            def __init__(self):
+                super().__init__()
+                self.reads = Counter()
+
+            def read(self, path):
+                self.reads[os.path.basename(path)] += 1
+                return super().read(path)
+
+        path = str(tmp_path / "log")
+        state = DatabaseState(SCHEMA)
+        first = DurableMaintainer(
+            state, build_catalog(), path=path, segment_bytes=64, checkpoint_every=None
+        )
+        for index in range(5):
+            state.add_object(f"x{index}", CLASSES[index % len(CLASSES)])
+        first.close()
+        segments = sorted(name for name in os.listdir(path) if name.endswith(".seg"))
+        assert len(segments) > 1
+        fs = CountingFileSystem()
+        restarted = DurableMaintainer.open(path, SCHEMA, build_catalog(), fs=fs)
+        try:
+            assert {name: fs.reads[name] for name in segments} == dict.fromkeys(segments, 1)
+            assert restarted.state.objects == state.objects
+            restarted.state.add_object("after", CLASSES[0])  # appends continue the log
+        finally:
+            restarted.close()
+        found = WriteAheadLog(path).recover()
+        assert [epoch.sequence for epoch in found.epochs] == list(range(1, 7))
+        assert found.dropped_bytes == 0
 
     def test_frames_naming_the_old_wal_class_path_still_recover(self, tmp_path, monkeypatch):
         # EpochRecord used to live in wal.py, so older logs pickle it as
@@ -679,11 +720,84 @@ class TestSnapshotPickling:
         assert surface(clone) == surface(snapshot)
         rebuilt = DatabaseState.from_snapshot(clone)
         assert surface(rebuilt.snapshot()) == surface(snapshot)
-        # The rebuilt state answers queries identically.
+        # The clone itself and the state rebuilt from it answer queries
+        # identically (the clone rebuilds the interpretation it was
+        # pickled without).
         catalog = build_catalog()
-        assert oracle_extents(catalog, rebuilt.snapshot()) == oracle_extents(
-            catalog, snapshot
+        expected = oracle_extents(catalog, snapshot)
+        assert oracle_extents(catalog, clone) == expected
+        assert oracle_extents(catalog, rebuilt.snapshot()) == expected
+        assert clone.to_interpretation() == snapshot.to_interpretation()
+
+    def test_pickle_carries_the_pinned_data_only(self):
+        snapshot = seed_state().snapshot()
+        snapshot.to_interpretation()
+        snapshot.neighbours("o0", ATTRIBUTES[0])
+        pinned = snapshot.__getstate__()
+        assert "_interpretation" not in pinned and "_adjacency" not in pinned
+        clone = pickle.loads(pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
+        assert clone.to_interpretation() == snapshot.to_interpretation()
+
+    def test_a_checkpoint_that_pickled_the_interpretation_recovers(self, tmp_path, monkeypatch):
+        # Checkpoints written before snapshots built their interpretation
+        # lazily pickled it beside the pinned data.
+        state = seed_state()
+        state.add_object("o2", CLASSES[1])
+        snapshot = state.snapshot()
+        catalog = build_catalog()
+        pinned = StateSnapshot.__getstate__
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                StateSnapshot,
+                "__getstate__",
+                lambda self: dict(pinned(self), _interpretation=self.to_interpretation()),
+            )
+            older = pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)
+            path = str(tmp_path / "log")
+            wal = WriteAheadLog(path)
+            wal.write_checkpoint(
+                CheckpointPayload(state.commit_sequence, snapshot, catalog_identity(catalog))
+            )
+            wal.close()
+        assert b"_interpretation" in older
+        loaded = pickle.loads(older)
+        assert surface(loaded) == surface(snapshot)
+        assert oracle_extents(catalog, loaded) == oracle_extents(catalog, snapshot)
+        recovered = DurableMaintainer.open(path, None, build_catalog())
+        try:
+            assert recovered.recovery_report.base == "checkpoint"
+            assert recovered.state.commit_sequence == state.commit_sequence
+            assert surface(recovered.state.snapshot()) == surface(snapshot)
+            assert stored_extents(recovered.catalog) == oracle_extents(catalog, snapshot)
+        finally:
+            recovered.kill()
+
+    def test_a_commit_its_checkpoint_and_a_reader_share_one_snapshot(self, tmp_path, monkeypatch):
+        state = seed_state()
+        maintainer = DurableMaintainer(
+            state,
+            build_catalog(),
+            path=str(tmp_path / "log"),
+            checkpoint_every=None,
+            bootstrap=True,
         )
+        built = []
+        init = StateSnapshot.__init__
+
+        def counting_init(snapshot, source):
+            built.append(source.generation)
+            init(snapshot, source)
+
+        try:
+            with ReplicaServer(state, maintainer.catalog):
+                monkeypatch.setattr(StateSnapshot, "__init__", counting_init)
+                state.add_object("later", CLASSES[0])
+                payload = maintainer.checkpoint()
+                pinned = state.snapshot()
+            assert built == [state.generation]
+            assert payload.snapshot is pinned
+        finally:
+            maintainer.close()
 
     def test_interned_ids_are_stable_in_a_fresh_process(self, tmp_path):
         state = seed_state()

@@ -183,14 +183,6 @@ class TestVersionedStore:
         # Constants already stored collapse to the cached base export.
         assert state.to_interpretation(constants=["o0"]) is base
 
-    def test_extended_export_cache_is_bounded(self):
-        from repro.database.store import _MAX_EXTENDED_EXPORTS
-
-        state = seed_state()
-        for index in range(_MAX_EXTENDED_EXPORTS + 10):
-            state.to_interpretation(constants=[f"ghost_{index}"])
-        assert len(state._interp_extended) <= _MAX_EXTENDED_EXPORTS
-
     def test_remove_object_uses_reverse_indexes(self):
         state = seed_state()
         state.set_attribute("o2", ATTRIBUTES[1], "o0")

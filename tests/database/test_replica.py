@@ -130,6 +130,27 @@ class TestReplicaProtocol:
                 raise AssertionError("expected StalenessError")
             replica.close()
 
+    def test_one_epoch_catch_up_asks_the_position_once(self, monkeypatch):
+        optimizer, state, _ = build_primary()
+        with ReplicaServer(state, optimizer.catalog) as server:
+            replica = SnapshotReplica(server.address).connect()
+            sent = []
+            send = replica_module.Connection.send
+
+            def recording_send(conn, *lines):
+                sent.extend(line.split()[0] for line in lines)
+                send(conn, *lines)
+
+            monkeypatch.setattr(replica_module.Connection, "send", recording_send)
+            state.add_object("fresh")
+            # The poll's DELTA header says where the primary is: no
+            # second STAT confirms what it already told.
+            assert replica.ensure_fresh(0) == 0
+            assert sent == ["STAT", "POLL"]
+            assert "fresh" in replica.state.objects
+            assert replica.applied_sequence == server.position[0]
+            replica.close()
+
     def test_bad_version_and_malformed_commands(self):
         optimizer, state, _ = build_primary(views=2, queries=1)
         with ReplicaServer(state, optimizer.catalog) as server:

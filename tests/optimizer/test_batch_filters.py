@@ -280,7 +280,7 @@ class TestPromotedShortcuts:
         # q is schema-known (so the signature filter stays out of the way)
         # but carries no necessity axiom (so S5 cannot arm it).
         schema = b.schema(b.isa("A", "B"), b.typed("B", "q", "B"))
-        checker = SubsumptionChecker(schema, shared_cache=False, cache=False)
+        checker = SubsumptionChecker(schema, shared_cache=False)
         conj = b.conjoin(b.concept("A"), b.exists("p"))
         # Told: dropping a conjunct generalizes -- no completion needed.
         assert checker.subsumes(conj, b.concept("A"))

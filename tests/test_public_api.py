@@ -35,11 +35,6 @@ class TestSubsumptionChecker:
         checker.clear_cache()
         assert checker.statistics["cache_size"] == 0
 
-    def test_cache_can_be_disabled(self):
-        checker = SubsumptionChecker(medical_schema(), cache=False)
-        checker.subsumes(query_patient_concept(), view_patient_concept())
-        assert checker.statistics["cache_size"] == 0
-
     def test_equivalence(self):
         checker = SubsumptionChecker()
         left = b.conjoin(b.concept("A"), b.concept("B"))
